@@ -46,6 +46,8 @@ from .optimizer import (
     AllSubsetsInfeasible,
     ConstraintReport,
     MipSolution,
+    SolverIncomplete,
+    SolveStats,
     enumerate_subsets,
     solve_weighting,
     tune_hyperparams,
@@ -84,6 +86,8 @@ __all__ = [
     "QpStatus",
     "ResamplePlan",
     "SelectionVector",
+    "SolveStats",
+    "SolverIncomplete",
     "StepPlan",
     "UndefinedRatioError",
     "WeightMatrix",

@@ -6,12 +6,14 @@ produce byte-identical outputs (pass --no-timestamp to drop the one
 timestamp line from reports).
 
 Exit codes: 0 success (and, for validate, conformant), 2 configuration or
-input error, 3 no feasible classifier subset, 4 validation failure.
+input error, 3 no feasible classifier subset, 4 validation failure, 5 solve
+incomplete (the exact search could not establish the optimum).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,6 +25,7 @@ from .ensemble import evaluate
 from .metrics import improvement_pct
 from .optimizer import (
     AllSubsetsInfeasible,
+    SolverIncomplete,
     solve_weighting,
     tune_hyperparams,
     validate_constraints,
@@ -38,6 +41,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NONCONFORMANT = 4
+EXIT_INCOMPLETE = 5
+
+EXIT_CODES = """exit codes:
+  0  success (for validate: conformant)
+  2  configuration or input error
+  3  no feasible classifier subset
+  4  validation failure
+  5  solve incomplete: the exact search could not establish the optimum"""
 
 METRIC_FIELDS = (
     "balanced_accuracy",
@@ -67,14 +78,6 @@ def _fill(args: argparse.Namespace, **defaults) -> None:
     for key, value in defaults.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
-
-
-def _workers(args: argparse.Namespace) -> int:
-    if getattr(args, "deterministic", False):
-        return 1
-    if getattr(args, "workers", None):
-        return int(args.workers)
-    return os.cpu_count() or 1
 
 
 def _hyperparams(args: argparse.Namespace) -> HyperParams:
@@ -114,9 +117,7 @@ def cmd_optimize(args) -> int:
     _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6, big_m=1e6, method="auto")
     v = io.read_accuracy_matrix(args.matrix)
     params = _hyperparams(args)
-    solution = solve_weighting(
-        v, params, workers=_workers(args), method=args.method
-    )
+    solution = solve_weighting(v, params, method=args.method)
     report = validate_constraints(v, solution.weights, solution.selection, params)
     io.write_weight_matrix(
         args.out_weights, solution.weights, solution.selection,
@@ -137,6 +138,7 @@ def cmd_optimize(args) -> int:
             "total": solution.objective.total,
         },
         "constraints": _constraint_payload(report),
+        "diagnostics": dataclasses.asdict(solution.stats),
         "subset_rank": [
             {
                 "subset": [v.classifiers.names[i] for i in r.subset],
@@ -245,7 +247,6 @@ def cmd_tune(args) -> int:
         steps=(float(args.dlam), float(args.dalpha)),
         score=score,
         epsilon=float(args.epsilon), big_m=float(args.big_m),
-        workers=_workers(args),
     )
     payload = {
         "lam": result.lam,
@@ -272,7 +273,6 @@ def cmd_sweep(args) -> int:
             f"K range {k_min}..{k_max} must sit inside 2..{v.n}"
         )
     de_params = _de_params(args)
-    workers = _workers(args)
     ks = list(range(k_min, k_max + 1))
     table: dict[tuple[str, str], dict[int, float]] = {
         (metric, scheme): {} for metric in METRIC_FIELDS for scheme in SCHEMES
@@ -280,7 +280,7 @@ def cmd_sweep(args) -> int:
     for k in ks:
         params = HyperParams(k=k, lam=float(args.lam), alpha=float(args.alpha),
                              epsilon=float(args.epsilon), big_m=float(args.big_m))
-        mip = solve_weighting(v, params, workers=workers)
+        mip = solve_weighting(v, params)
         mip_report = evaluate(mip.weights, preds)
         for scheme in SCHEMES:
             _, weights = baseline_with_selection(scheme, v, k, de_params)
@@ -336,9 +336,11 @@ def _add_common(sub, *, workers=False, de=False, hyper=False):
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp line from reports")
     if workers:
-        sub.add_argument("--workers", type=int, default=None)
+        # kept so existing command lines and config files still parse
+        sub.add_argument("--workers", type=int, default=None,
+                         help="accepted for compatibility; has no effect")
         sub.add_argument("--deterministic", action="store_true",
-                         help="force single-worker execution")
+                         help="accepted for compatibility; has no effect")
     if hyper:
         sub.add_argument("--lam", type=float, default=None)
         sub.add_argument("--alpha", type=float, default=None)
@@ -356,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voteopt",
         description="Per-class weighting for voting ensembles",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -436,6 +440,9 @@ def main(argv=None) -> int:
     except AllSubsetsInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except SolverIncomplete as exc:
+        print(f"incomplete: {exc}", file=sys.stderr)
+        return EXIT_INCOMPLETE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

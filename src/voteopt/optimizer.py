@@ -1,9 +1,12 @@
 """Exact selection of K classifiers and their per-class weights.
 
 The mixed-integer model is solved exactly: the binary selection layer is
-enumerated (or branch-and-bound searched for large pools) and each candidate
-subset's continuous weight problem goes to the dense QP solver. The weight
-model, stated over accuracies ``v`` and weights ``w``:
+enumerated (or branch-and-bound searched for large pools) and the candidate
+subsets' continuous weight problems are solved in batches, in closed form or
+by an exact active-set step (:mod:`voteopt.subsetsolve`), each answer
+certified by its KKT conditions. A subset neither certifies goes to the
+dense interior-point solver and is counted. The weight model, stated over
+accuracies ``v`` and weights ``w``:
 
     maximize (1/m) sum_ij w_ij v_ij
              - lam * (alpha * sum_ij w_ij + (1-alpha)/2 * sum_ij w_ij**2)
@@ -25,9 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -39,10 +40,14 @@ from .core import (
     WeightMatrix,
     objective_value,
 )
-from .qpsolve import QpProblem, QpSolution, QpStatus, solve_qp
+from . import subsetsolve
+from .qpsolve import QpProblem, QpStatus, solve_qp
 
 TIE_TOL = 1e-9
 VALIDATION_TOL = 1e-6
+# subsets solved per batch: memory stays flat for any C(n, K), and batch
+# temporaries stay small enough that the allocator returns them
+CHUNK = 128
 
 
 class AllSubsetsInfeasible(RuntimeError):
@@ -56,6 +61,39 @@ class AllSubsetsInfeasible(RuntimeError):
     def __init__(self, message: str, subset_rank=()):
         super().__init__(message)
         self.subset_rank = tuple(subset_rank)
+
+
+class SolverIncomplete(RuntimeError):
+    """The exact search could not finish, so optimality is not established.
+
+    Raised when a subset's interior-point fallback stops at its iteration
+    limit (``subset`` names it) or branch-and-bound exceeds its node limit.
+    """
+
+    def __init__(self, message: str, subset=None):
+        super().__init__(message)
+        self.subset = subset
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """What one solve did, as deterministic counts of subsets.
+
+    ``enumerated`` subsets were examined; of those, ``screened`` were
+    rejected up front (some class floor (8) above every member's accuracy),
+    ``closed_form`` and ``active_set`` were solved and certified by the
+    batched kernel's two stages, and ``ipm_fallback`` went to the
+    interior-point solver.
+    """
+
+    enumerated: int = 0
+    screened: int = 0
+    closed_form: int = 0
+    active_set: int = 0
+    ipm_fallback: int = 0
+
+    def __add__(self, other: "SolveStats") -> "SolveStats":
+        return SolveStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 @dataclass(frozen=True)
@@ -73,6 +111,7 @@ class MipSolution:
     weights: WeightMatrix
     objective: ObjectiveBreakdown
     subset_rank: tuple[SubsetResult, ...]
+    stats: SolveStats
 
 
 @dataclass(frozen=True)
@@ -116,9 +155,9 @@ def build_subset_problem(
 
     Variables are the selected classifiers' weights in classifier-major
     order; unselected rows are fixed at zero by omission. The inequality
-    block carries, in order: the per-class accuracy floors (8), the
-    per-selected-classifier weight floors from (7), and the overall
-    accuracy floor (9).
+    block carries, in order: the per-class accuracy floors (8) and the
+    per-selected-classifier weight floors from (7). The overall floor (9)
+    is the average of the (8) rows, so it is implied and left out.
     """
     vals = v.values
     n, m = vals.shape
@@ -135,36 +174,87 @@ def build_subset_problem(
         a_eq[j, j::m] = 1.0
     b_eq = np.ones(m)
 
-    a_in = np.zeros((m + k + 1, nv))
-    b_in = np.empty(m + k + 1)
+    a_in = np.zeros((m + k, nv))
+    b_in = np.empty(m + k)
     for j in range(m):
         a_in[j, j::m] = sub[:, j]
         b_in[j] = vals[:, j].mean() + eps
     for li in range(k):
         a_in[m + li, li * m:(li + 1) * m] = 1.0
         b_in[m + li] = eps
-    a_in[m + k] = sub.reshape(nv) / m
-    b_in[m + k] = vals.mean() + eps
     return QpProblem(q, c, a_eq, b_eq, a_in, b_in)
 
 
-def _subset_obviously_infeasible(vals: np.ndarray, subset, eps: float) -> bool:
-    # even all mass on the subset's best classifier cannot clear a class floor
-    sub = vals[list(subset), :]
-    return bool(np.any(sub.max(axis=0) < vals.mean(axis=0) + eps))
-
-
-def _embed(w_flat: np.ndarray, subset, n: int, m: int) -> np.ndarray:
-    w = np.zeros((n, m))
-    for li, i in enumerate(subset):
-        w[i] = w_flat[li * m:(li + 1) * m]
+def _embed(w_sub: np.ndarray, subset, n: int) -> np.ndarray:
+    w = np.zeros((n, w_sub.shape[1]))
+    w[list(subset)] = w_sub
     return w
 
 
-def _solve_subset(v, params, subset, tol):
-    if _subset_obviously_infeasible(v.values, subset, params.epsilon):
-        return None
-    return solve_qp(build_subset_problem(v, params, subset), tol=tol)
+def _solve_subsets(v, params, subsets: np.ndarray, tol: float):
+    """Optimal objective and (K, m) weights of every row of ``subsets``.
+
+    The batched kernel solves and certifies what it can; each remaining
+    subset goes to the interior-point solver. Returns objectives (nan where
+    infeasible), weights and the SolveStats of this batch.
+    """
+    vals = v.values
+    lam, alpha = params.lam, params.alpha
+    batch = subsetsolve.solve_batch(vals, subsets, lam, alpha, params.epsilon)
+    objective, weights = batch.objective, batch.weights
+    for b in np.flatnonzero(batch.status == subsetsolve.UNRESOLVED):
+        subset = tuple(int(i) for i in subsets[b])
+        sol = solve_qp(build_subset_problem(v, params, subset), tol=tol)
+        if sol.status is QpStatus.MAX_ITERATIONS:
+            raise SolverIncomplete(
+                f"subset {subset}: the interior-point fallback stopped at its "
+                "iteration limit, so the optimum is not established",
+                subset=subset,
+            )
+        if sol.status is QpStatus.INFEASIBLE:
+            continue
+        weights[b] = sol.w.reshape(weights.shape[1:])
+        objective[b] = subsetsolve.subset_objective(
+            vals[list(subset)][None], weights[b][None], lam, alpha)[0]
+    counts = np.bincount(batch.status, minlength=4)
+    stats = SolveStats(
+        enumerated=len(subsets),
+        screened=int(counts[subsetsolve.SCREENED]),
+        closed_form=int(counts[subsetsolve.CLOSED_FORM]),
+        active_set=int(counts[subsetsolve.ACTIVE_SET]),
+        ipm_fallback=int(counts[subsetsolve.UNRESOLVED]),
+    )
+    return objective, weights, stats
+
+
+def _ranked(results) -> tuple[SubsetResult, ...]:
+    return tuple(sorted(
+        results,
+        key=lambda r: (-(r.objective if r.objective is not None else -math.inf),
+                       r.subset),
+    ))
+
+
+def _pick(candidates):
+    """The lexicographically smallest subset within TIE_TOL of the best.
+
+    ``candidates`` holds (objective, subset, weights) triples.
+    """
+    best = max(obj for obj, _, _ in candidates)
+    return min((c for c in candidates if c[0] >= best - TIE_TOL),
+               key=lambda c: c[1])
+
+
+def _solution(v, params, winner, results, stats) -> MipSolution:
+    _, subset, w_sub = winner
+    weights = WeightMatrix(_embed(w_sub, subset, v.n))
+    return MipSolution(
+        selection=SelectionVector.from_indices(subset, v.n),
+        weights=weights,
+        objective=objective_value(v, weights, params),
+        subset_rank=_ranked(results),
+        stats=stats,
+    )
 
 
 def solve_weighting(
@@ -178,12 +268,17 @@ def solve_weighting(
 
     method: "enumerate" solves every C(n, K) subset (the default below 21
     classifiers), "bnb" runs best-first branch-and-bound on the relaxed
-    selection, "auto" picks between them. Ties in objective (within 1e-9)
-    resolve to the lexicographically smallest subset under enumeration.
+    selection, "auto" picks between them. Of the subsets whose objectives
+    lie within TIE_TOL (1e-9) of the best, the lexicographically smallest
+    wins (under "bnb", of the leaves the search reaches). ``tol`` is the
+    interior-point tolerance of the fallback and of the branch-and-bound
+    relaxations. ``workers`` is accepted for compatibility and has no
+    effect: enumeration is one batched pass.
 
-    Raises AllSubsetsInfeasible when no subset admits feasible weights.
+    Raises AllSubsetsInfeasible when no subset admits feasible weights and
+    SolverIncomplete when a subset's fallback does not converge.
     """
-    n, m = v.n, v.m
+    n = v.n
     if params.k > n:
         raise ValueError(f"ensemble size {params.k} exceeds pool size {n}")
     if method not in ("auto", "enumerate", "bnb"):
@@ -193,55 +288,36 @@ def solve_weighting(
     if method == "bnb":
         return _solve_bnb(v, params, tol)
 
-    subsets = list(enumerate_subsets(n, params.k))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = list(
-                pool.map(lambda s: _solve_subset(v, params, s, tol), subsets)
-            )
-    else:
-        solutions = [_solve_subset(v, params, s, tol) for s in subsets]
-
+    subsets = enumerate_subsets(n, params.k)
     results: list[SubsetResult] = []
-    best: tuple[float, tuple[int, ...], QpSolution] | None = None
-    for subset, sol in zip(subsets, solutions):
-        if sol is None:
-            results.append(SubsetResult(subset, QpStatus.INFEASIBLE, None))
+    candidates = []  # (objective, subset, weights) within TIE_TOL of the best so far
+    best = -math.inf
+    stats = SolveStats()
+    while chunk := list(itertools.islice(subsets, CHUNK)):
+        objective, weights, chunk_stats = _solve_subsets(
+            v, params, np.array(chunk, dtype=np.intp), tol
+        )
+        stats += chunk_stats
+        for subset, obj in zip(chunk, objective.tolist()):
+            if math.isnan(obj):
+                results.append(SubsetResult(subset, QpStatus.INFEASIBLE, None))
+            else:
+                results.append(SubsetResult(subset, QpStatus.OPTIMAL, obj))
+        if np.all(np.isnan(objective)):
             continue
-        if sol.status is QpStatus.OPTIMAL:
-            results.append(SubsetResult(subset, sol.status, sol.objective))
-            if best is None or sol.objective > best[0] + TIE_TOL:
-                best = (sol.objective, subset, sol)
-        else:
-            if sol.status is QpStatus.MAX_ITERATIONS:
-                warnings.warn(
-                    f"subset {subset}: weight subproblem did not converge; "
-                    "excluded from the search"
-                )
-            results.append(SubsetResult(subset, sol.status, None))
+        best = max(best, float(np.nanmax(objective)))
+        near = np.flatnonzero(objective >= best - TIE_TOL)
+        candidates = [c for c in candidates if c[0] >= best - TIE_TOL] + [
+            (float(objective[b]), chunk[b], weights[b]) for b in near
+        ]
 
-    rank = tuple(
-        sorted(
-            results,
-            key=lambda r: (-(r.objective if r.objective is not None else -math.inf),
-                           r.subset),
-        )
-    )
-    if best is None:
+    if not candidates:
         raise AllSubsetsInfeasible(
-            f"all {len(subsets)} subsets of size {params.k} are infeasible: "
+            f"all {len(results)} subsets of size {params.k} are infeasible: "
             "no weighting beats the uniform accuracy floors",
-            subset_rank=rank,
+            subset_rank=_ranked(results),
         )
-    objective, subset, sol = best
-    selection = SelectionVector.from_indices(subset, n)
-    weights = WeightMatrix(_embed(sol.w, subset, n, m))
-    return MipSolution(
-        selection=selection,
-        weights=weights,
-        objective=objective_value(v, weights, params),
-        subset_rank=rank,
-    )
+    return _solution(v, params, _pick(candidates), results, stats)
 
 
 # --- branch and bound over the relaxed selection ----------------------------
@@ -297,24 +373,41 @@ def _build_relaxation(v, params, fixed: dict[int, int]) -> QpProblem:
     return QpProblem(q, c, a_eq, b_eq, a_in, b_in)
 
 
+def _bound(sol) -> float:
+    """Upper bound from an interior-point relaxation solution.
+
+    The iterate's objective is below the relaxation optimum by at most the
+    duality gap, the mean complementarity times the number of pairs.
+    """
+    pairs = sol.z_in.size + sol.z_bounds.size
+    return sol.objective + sol.kkt_residuals["complementarity"] * pairs
+
+
 def _solve_bnb(v, params, tol, max_nodes: int = 100_000) -> MipSolution:
     n, m = v.n, v.m
     counter = itertools.count()
-    incumbent: tuple[float, tuple[int, ...], QpSolution] | None = None
+    leaves = []  # (objective, subset, weights) of every feasible leaf
     explored: list[SubsetResult] = []
+    stats = SolveStats()
+    incumbent = -math.inf
 
     def try_subset(subset):
-        nonlocal incumbent
-        exact = _solve_subset(v, params, subset, tol)
-        if exact is not None and exact.status is QpStatus.OPTIMAL:
-            explored.append(SubsetResult(subset, exact.status, exact.objective))
-            if incumbent is None or exact.objective > incumbent[0] + TIE_TOL or (
-                abs(exact.objective - incumbent[0]) <= TIE_TOL
-                and subset < incumbent[1]
-            ):
-                incumbent = (exact.objective, subset, exact)
-        else:
+        nonlocal stats, incumbent
+        objective, weights, leaf_stats = _solve_subsets(
+            v, params, np.array([subset], dtype=np.intp), tol
+        )
+        stats += leaf_stats
+        obj = float(objective[0])
+        if math.isnan(obj):
             explored.append(SubsetResult(subset, QpStatus.INFEASIBLE, None))
+        else:
+            explored.append(SubsetResult(subset, QpStatus.OPTIMAL, obj))
+            leaves.append((obj, subset, weights[0]))
+            incumbent = max(incumbent, obj)
+
+    def pruned(bound) -> bool:
+        # keep every node that may hold a subset within TIE_TOL of the best
+        return bound < incumbent - TIE_TOL
 
     root = solve_qp(_build_relaxation(v, params, {}), tol=tol)
     if root.status is QpStatus.INFEASIBLE:
@@ -322,18 +415,21 @@ def _solve_bnb(v, params, tol, max_nodes: int = 100_000) -> MipSolution:
             "selection relaxation infeasible: no weighting beats the uniform "
             "accuracy floors"
         )
-    root_bound = root.objective if root.status is QpStatus.OPTIMAL else math.inf
+    root_bound = _bound(root) if root.status is QpStatus.OPTIMAL else math.inf
     root_x = root.w[n * m:] if root.status is QpStatus.OPTIMAL else None
     heap = [(-root_bound, next(counter), {}, root_x)]
     nodes = 0
     while heap:
         neg_bound, _, fixed, x = heapq.heappop(heap)
         bound = -neg_bound
-        if incumbent is not None and bound <= incumbent[0] + TIE_TOL:
+        if pruned(bound):
             continue
         nodes += 1
         if nodes > max_nodes:
-            raise RuntimeError(f"branch-and-bound exceeded {max_nodes} nodes")
+            raise SolverIncomplete(
+                f"branch-and-bound exceeded {max_nodes} nodes before closing "
+                "the search"
+            )
         if x is not None:
             frac = np.abs(x - np.round(x))
             if frac.max() <= 1e-6:
@@ -357,40 +453,25 @@ def _solve_bnb(v, params, tol, max_nodes: int = 100_000) -> MipSolution:
             if child.status is QpStatus.INFEASIBLE:
                 continue
             if child.status is QpStatus.OPTIMAL:
-                child_bound = min(bound, child.objective)
+                child_bound = min(bound, _bound(child))
                 child_x = child.w[n * m:]
             else:
                 # unsolved relaxation: inherit the parent's valid bound and
                 # keep branching on the fixing order
                 child_bound = bound
                 child_x = None
-            if incumbent is not None and child_bound <= incumbent[0] + TIE_TOL:
+            if pruned(child_bound):
                 continue
             heapq.heappush(
                 heap, (-child_bound, next(counter), child_fixed, child_x)
             )
 
-    if incumbent is None:
+    if not leaves:
         raise AllSubsetsInfeasible(
             f"all subsets of size {params.k} are infeasible",
             subset_rank=tuple(explored),
         )
-    objective, subset, sol = incumbent
-    selection = SelectionVector.from_indices(subset, n)
-    weights = WeightMatrix(_embed(sol.w, subset, n, m))
-    rank = tuple(
-        sorted(
-            explored,
-            key=lambda r: (-(r.objective if r.objective is not None else -math.inf),
-                           r.subset),
-        )
-    )
-    return MipSolution(
-        selection=selection,
-        weights=weights,
-        objective=objective_value(v, weights, params),
-        subset_rank=rank,
-    )
+    return _solution(v, params, _pick(leaves), explored, stats)
 
 
 # --- literal constraint validation ------------------------------------------
@@ -500,6 +581,7 @@ def tune_hyperparams(
     step down, and keeps stepping in the first direction that strictly
     improves ``score(weights)``; it stops at the first non-improvement.
     lam stays >= 0 and alpha inside [0, 1]. ``score`` must be deterministic.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     d_lam, d_alpha = steps
     if d_lam <= 0 or d_alpha <= 0:
@@ -512,7 +594,7 @@ def tune_hyperparams(
         if key not in cache:
             params = HyperParams(k=k, lam=lam, alpha=alpha,
                                  epsilon=epsilon, big_m=big_m)
-            solution = solve_weighting(v, params, workers=workers)
+            solution = solve_weighting(v, params)
             cache[key] = (float(score(solution.weights)), solution)
         return cache[key]
 

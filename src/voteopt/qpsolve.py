@@ -1,4 +1,6 @@
-"""Dense convex quadratic programming for the fixed-selection subproblem.
+"""Dense convex quadratic programming: the branch-and-bound relaxations and
+the fallback for subsets the batched solver of :mod:`voteopt.subsetsolve`
+cannot certify.
 
 ``solve_qp`` runs a primal-dual interior-point method (Mehrotra
 predictor-corrector); ``grid_oracle`` is an independent brute-force

@@ -1,0 +1,348 @@
+"""Exact batched solver for the fixed-subset weight problem.
+
+With the selection fixed to a subset of K classifiers, the weight model of
+:mod:`voteopt.optimizer` separates by class except for the per-classifier
+weight floors (7). The L1 term equals m on the feasible set, so with
+``q = lam*(1-alpha)/2`` and ``f_j = mean_i(v_ij) + eps`` (mean over the full
+pool) class j maximizes
+
+    v_j.w_j / m - q * ||w_j||^2   over the unit simplex (3), (5),
+    subject to v_j.w_j >= f_j     (8)
+
+and the classes share only ``sum_j w_ij >= eps`` for every selected row (7).
+(9) is the average of the (8) rows and is implied by them.
+
+``solve_batch`` solves many subsets at once, in three stages:
+
+1. Closed form, with (7) assumed slack. For q > 0, w_j is the Euclidean
+   projection of ``a_j * v_j`` onto the simplex, ``a_j = (1/m + mu_j)/(2q)``
+   (Duchi et al. 2008; Condat 2016). ``mu_j = 0`` unless the floor (8) fails
+   there; then ``v_j.w_j(a)`` is linear in ``a`` for each support size r and
+   ``a_j`` is the root on the piece whose support is consistent. One sort per
+   column serves every piece. For q = 0 (a linear program) each class puts
+   its mass on its column maximum and every row that tops no class takes
+   eps from the class where that costs least.
+2. Active set, for q > 0 where stage 1 is not certified (mostly (7)
+   binding): for a fixed support and fixed sets of active (7)/(8) rows the
+   KKT conditions are one linear system, and primal-dual active-set updates
+   (Hintermueller, Ito & Kunisch 2002) revise the sets until the solution is
+   certified or the sets stop changing.
+3. Whatever neither stage certifies is returned UNRESOLVED, for the caller's
+   interior-point fallback.
+
+Every answer of stages 1 and 2 carries a KKT certificate: (5), (7), (8) and
+``w >= 0`` hold to ``PRIMAL_TOL``; the multipliers of (7) and (8) are
+non-negative and vanish where their rows are slack; and the reduced
+gradient is zero on the support and non-positive off it, to ``DUAL_TOL``
+relative to the class's multiplier scale. A certified answer is therefore
+the subset's optimum up to rounding.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+# per-subset outcome codes
+SCREENED = 0  # some class floor (8) exceeds every member's accuracy
+CLOSED_FORM = 1
+ACTIVE_SET = 2
+UNRESOLVED = 3
+
+PRIMAL_TOL = 1e-12
+DUAL_TOL = 1e-12
+MAX_ACTIVE_SET_ITER = 30
+
+
+@dataclass(frozen=True)
+class SubsetBatch:
+    """Outcome of ``solve_batch`` for B subsets of K classifiers."""
+
+    status: np.ndarray  # (B,) outcome codes above
+    weights: np.ndarray  # (B, K, m); zero unless certified
+    objective: np.ndarray  # (B,) regularized objective; nan unless certified
+
+
+def subset_objective(sub, w, lam, alpha):
+    """Regularized objective of (B, K, m) weights, as ``core.objective_value``."""
+    m = sub.shape[2]
+    accuracy = (sub * w).sum(axis=(1, 2)) / m
+    return accuracy - lam * (alpha * w.sum(axis=(1, 2))
+                             + (1.0 - alpha) / 2.0 * (w * w).sum(axis=(1, 2)))
+
+
+def solve_batch(vals, subsets, lam, alpha, eps) -> SubsetBatch:
+    """Solve and certify the weight problem of every row of ``subsets``.
+
+    ``vals`` is the full (n, m) accuracy matrix, ``subsets`` a (B, K) integer
+    array of classifier indices. Where (7) binds, memory grows with
+    B * (K*m + 2*m + K)**2, so callers pass bounded batches.
+    """
+    sub = vals[subsets]
+    batch, k, m = sub.shape
+    f = vals.mean(axis=0) + eps
+    q = lam * (1.0 - alpha) / 2.0
+    status = np.full(batch, UNRESOLVED, dtype=np.int8)
+    weights = np.zeros_like(sub)
+
+    screened = np.any(sub.max(axis=1) < f, axis=1)
+    status[screened] = SCREENED
+    live = np.flatnonzero(~screened)
+    if live.size:
+        s = sub[live]
+        if q > 0.0:
+            w, nu, mu = _projection(s, f, q)
+            gamma = np.zeros((live.size, k))
+        else:
+            w, nu, mu, gamma = _linear(s, eps)
+        ok = _certify(s, f, q, eps, w, nu, mu, gamma)
+        weights[live[ok]] = w[ok]
+        status[live[ok]] = CLOSED_FORM
+        rest = ~ok
+        if q > 0.0 and rest.any():
+            # start from the closed form's sets: its support, its lifted
+            # floors and the rows that fall short of (7)
+            red = _reduced_gradient(s[rest], q, w[rest], nu[rest], mu[rest], gamma[rest])
+            w2, ok2 = _active_set(s[rest], f, q, eps, w[rest] > 0.0, mu[rest] > 0.0,
+                                  w[rest].sum(axis=2) < eps, red)
+            idx = live[rest][ok2]
+            weights[idx] = w2[ok2]
+            status[idx] = ACTIVE_SET
+    objective = np.full(batch, np.nan)
+    solved = (status == CLOSED_FORM) | (status == ACTIVE_SET)
+    objective[solved] = subset_objective(sub[solved], weights[solved], lam, alpha)
+    return SubsetBatch(status, weights, objective)
+
+
+# --- stage 1: closed forms ----------------------------------------------------
+
+
+def _at(arr, r):
+    """``arr[b, r[b, j] - 1, j]`` for a (B, K, m) array and (B, m) sizes."""
+    return np.take_along_axis(arr, (r - 1)[:, None, :], axis=1)[:, 0, :]
+
+
+def _projection(sub, f, q):
+    """Every class problem with (7) dropped, for q > 0.
+
+    Returns the weights and the multipliers (nu, mu) of (5) and (8).
+    """
+    batch, k, m = sub.shape
+    order = np.argsort(-sub, axis=1, kind="stable")
+    u = np.take_along_axis(sub, order, axis=1)
+    # Running mean, centred sum of squares (Welford) and d_r = sum_{i<=r}
+    # (u_i - u_r) over the sorted column. proj(a*u) keeps the r largest
+    # entries exactly when a*d_r < 1, and on that support
+    # v.w(a) = a*var_r + mean_r.
+    mean = np.empty_like(u)
+    var = np.empty_like(u)
+    d = np.empty_like(u)
+    mean[:, 0], var[:, 0], d[:, 0] = u[:, 0], 0.0, 0.0
+    for r in range(1, k):
+        delta = u[:, r] - mean[:, r - 1]
+        mean[:, r] = mean[:, r - 1] + delta / (r + 1)
+        var[:, r] = var[:, r - 1] + delta * (u[:, r] - mean[:, r])
+        d[:, r] = d[:, r - 1] + r * (u[:, r - 1] - u[:, r])
+
+    a0 = 1.0 / (2.0 * q * m)
+    size = np.count_nonzero(a0 * d < 1.0, axis=1)
+    lift = a0 * _at(var, size) + _at(mean, size) < f
+    if lift.any():
+        # v.w at the low end a = 1/d_{r+1} of each support size's piece; it
+        # does not increase with r, so the root lies on the first piece
+        # whose low end is at most f
+        d_next = np.concatenate([d[:, 1:], np.full((batch, 1, m), np.inf)], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            low = np.where(d_next > 0.0, var / d_next + mean, np.inf)
+            r_root = 1 + np.argmax(low <= f[None, None, :], axis=1)
+            v_root = _at(var, r_root)
+            a_root = np.where(v_root > 0.0, (f - _at(mean, r_root)) / v_root,
+                              1.0 / _at(d_next, r_root))
+        a = np.where(lift, a_root, a0)
+        size = np.where(lift, r_root, size)
+    else:
+        a = np.full((batch, m), a0)
+    mean_s = _at(mean, size)
+    # a*(u - mean) + 1/r, not a*u - theta: the latter cancels as q -> 0
+    ws = a[:, None, :] * (u - mean_s[:, None, :]) + 1.0 / size[:, None, :]
+    inside = np.arange(k)[None, :, None] < size[:, None, :]
+    ws = np.where(inside, np.maximum(ws, 0.0), 0.0)
+    w = np.empty_like(ws)
+    np.put_along_axis(w, order, ws, axis=1)
+    mu = np.where(lift, np.maximum(2.0 * q * a - 1.0 / m, 0.0), 0.0)
+    nu = (1.0 / m + mu) * mean_s - 2.0 * q / size
+    return w, nu, mu
+
+
+def _linear(sub, eps):
+    """The q = 0 linear program with (8) assumed slack.
+
+    Each class's mass sits on its first column maximum; a row that tops no
+    class takes eps from the class where ``vmax_j - v_ij`` is least (free
+    for a row that ties a maximum). Returns weights and (nu, mu, gamma).
+    """
+    batch, k, m = sub.shape
+    b = np.arange(batch)[:, None]
+    holder = np.argmax(sub, axis=1)
+    vmax = np.take_along_axis(sub, holder[:, None, :], axis=1)[:, 0, :]
+    w = np.zeros_like(sub)
+    w[b, holder, np.arange(m)] = 1.0
+    holds = np.zeros((batch, k), dtype=bool)
+    holds[b, holder] = True
+    loss = vmax[:, None, :] - sub
+    cheapest = np.argmin(loss, axis=2)
+    bi, ri = np.nonzero(~holds)
+    ci = cheapest[bi, ri]
+    w[bi, ri, ci] = eps
+    np.subtract.at(w, (bi, holder[bi, ci], ci), eps)
+    gamma = np.zeros((batch, k))
+    gamma[bi, ri] = loss[bi, ri, ci] / m
+    return w, vmax / m, np.zeros((batch, m)), gamma
+
+
+# --- certificate ----------------------------------------------------------------
+
+
+def _reduced_gradient(sub, q, w, nu, mu, gamma):
+    """(1/m + mu_j) v_ij + gamma_i - nu_j - 2q w_ij: zero on the support, <= 0 off it."""
+    t = 1.0 / sub.shape[2] + mu
+    return t[:, None, :] * sub + gamma[:, :, None] - nu[:, None, :] - 2.0 * q * w
+
+
+def _certify(sub, f, q, eps, w, nu, mu, gamma):
+    """Per-subset KKT check; see the module docstring."""
+    acc_slack = (sub * w).sum(axis=1) - f
+    row_slack = w.sum(axis=2) - eps
+    primal = (
+        np.all(w >= 0.0, axis=(1, 2))
+        & np.all(np.abs(w.sum(axis=1) - 1.0) <= PRIMAL_TOL, axis=1)
+        & np.all(acc_slack >= -PRIMAL_TOL, axis=1)
+        & np.all(row_slack >= -PRIMAL_TOL, axis=1)
+    )
+    dual = (
+        np.all(mu >= 0.0, axis=1) & np.all(gamma >= 0.0, axis=1)
+        & np.all((mu == 0.0) | (np.abs(acc_slack) <= PRIMAL_TOL), axis=1)
+        & np.all((gamma == 0.0) | (np.abs(row_slack) <= PRIMAL_TOL), axis=1)
+    )
+    red = _reduced_gradient(sub, q, w, nu, mu, gamma)
+    tol = DUAL_TOL * (1.0 + 1.0 / sub.shape[2] + mu)[:, None, :]
+    stationary = np.all(np.where(w > 0.0, np.abs(red) <= tol, red <= tol), axis=(1, 2))
+    return primal & dual & stationary
+
+
+# --- stage 2: active set ----------------------------------------------------------
+
+
+def _active_set(sub, f, q, eps, support, floor, rowact, red):
+    """Primal-dual active-set iterations from the given sets.
+
+    ``support`` (B, K, m), ``floor`` (B, m) and ``rowact`` (B, K) are the
+    initial support and active (8) and (7) rows; ``red`` a reduced gradient
+    used to pick the entry a row or class with an empty support gets. All
+    four are updated in place. Returns the weights and which subsets were
+    certified.
+    """
+    batch, k, m = sub.shape
+    w_out = np.zeros_like(sub)
+    ok = np.zeros(batch, dtype=bool)
+    work = np.arange(batch)
+    for _ in range(MAX_ACTIVE_SET_ITER):
+        s = sub[work]
+        _guard(support, floor, rowact, red, s, work)
+        x, solved = _solve_kkt(s, f, q, eps, support[work], floor[work], rowact[work])
+        w = np.where(support[work], x[:, :k * m].reshape(-1, k, m), 0.0)
+        nu = x[:, k * m:k * m + m]
+        mu = np.where(floor[work], x[:, k * m + m:k * m + 2 * m], 0.0)
+        gamma = np.where(rowact[work], x[:, k * m + 2 * m:], 0.0)
+        good = solved & _certify(s, f, q, eps, w, nu, mu, gamma)
+        w_out[work[good]] = w[good]
+        ok[work[good]] = True
+
+        r = _reduced_gradient(s, q, w, nu, mu, gamma)
+        tol = DUAL_TOL * (1.0 + 1.0 / m + mu)[:, None, :]
+        new_support = np.where(support[work], w >= 0.0, r > tol)
+        new_floor = np.where(floor[work], mu >= 0.0,
+                             (s * w).sum(axis=1) - f < -PRIMAL_TOL)
+        new_rowact = np.where(rowact[work], gamma >= 0.0,
+                              w.sum(axis=2) - eps < -PRIMAL_TOL)
+        changed = (
+            np.any(new_support != support[work], axis=(1, 2))
+            | np.any(new_floor != floor[work], axis=1)
+            | np.any(new_rowact != rowact[work], axis=1)
+        )
+        support[work], floor[work], rowact[work] = new_support, new_floor, new_rowact
+        red[work] = r
+        keep = ~good & solved & changed
+        work = work[keep]
+        if work.size == 0:
+            break
+    return w_out, ok
+
+
+def _guard(support, floor, rowact, red, sub, work):
+    """Repair sets that would make the KKT system singular, in place.
+
+    A class or an active (7) row with an empty support gets its entry with
+    the largest reduced gradient; an active (8) row whose support holds one
+    accuracy value cannot bind and is dropped.
+    """
+    sup = support[work]
+    rd = red[work]
+    bi, ji = np.nonzero(~sup.any(axis=1))
+    sup[bi, np.argmax(rd[bi, :, ji], axis=1), ji] = True
+    bi, ii = np.nonzero(rowact[work] & ~sup.any(axis=2))
+    sup[bi, ii, np.argmax(rd[bi, ii, :], axis=1)] = True
+    hi = np.where(sup, sub, -np.inf).max(axis=1)
+    lo = np.where(sup, sub, np.inf).min(axis=1)
+    floor[work] &= hi > lo
+    support[work] = sup
+
+
+def _solve_kkt(sub, f, q, eps, support, floor, rowact):
+    """Solve the KKT system of each subset for its fixed sets.
+
+    Unknowns, in order: w_ij (classifier-major), nu_j of (5), mu_j of (8),
+    gamma_i of (7). Support entries satisfy
+    ``2q w_ij + nu_j - mu_j v_ij - gamma_i = v_ij / m``; entries off the
+    support, and multipliers of inactive rows, are pinned to zero.
+    Returns the (B, N) solutions and which systems were non-singular.
+    """
+    batch, k, m = sub.shape
+    nw = k * m
+    size = nw + 2 * m + k
+    kk = np.arange(nw)
+    ik, jk = kk // m, kk % m
+    jj = np.arange(m)
+    ii = np.arange(k)
+    sup = support.reshape(batch, nw)
+    v = sub.reshape(batch, nw)
+
+    a = np.zeros((batch, size, size))
+    rhs = np.zeros((batch, size))
+    a[:, kk, kk] = np.where(sup, 2.0 * q, 1.0)
+    a[:, kk, nw + jk] = sup
+    a[:, kk, nw + m + jk] = np.where(sup, -v, 0.0)
+    a[:, kk, nw + 2 * m + ik] = -1.0 * sup
+    rhs[:, kk] = np.where(sup, v / m, 0.0)
+    a[:, nw + jk, kk] = 1.0
+    rhs[:, nw + jj] = 1.0
+    a[:, nw + m + jk, kk] = np.where(floor[:, jk], v, 0.0)
+    a[:, nw + m + jj, nw + m + jj] = ~floor
+    rhs[:, nw + m + jj] = np.where(floor, f, 0.0)
+    a[:, nw + 2 * m + ik, kk] = rowact[:, ik]
+    a[:, nw + 2 * m + ii, nw + 2 * m + ii] = ~rowact
+    rhs[:, nw + 2 * m + ii] = np.where(rowact, eps, 0.0)
+
+    solved = np.ones(batch, dtype=bool)
+    try:
+        x = np.linalg.solve(a, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.zeros((batch, size))
+        for b in range(batch):
+            try:
+                x[b] = np.linalg.solve(a[b], rhs[b])
+            except np.linalg.LinAlgError:
+                solved[b] = False
+    solved &= np.all(np.isfinite(x), axis=1)
+    return np.where(solved[:, None], x, 0.0), solved

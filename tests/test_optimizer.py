@@ -15,7 +15,7 @@ from voteopt import (
     tune_hyperparams,
     validate_constraints,
 )
-from voteopt.optimizer import build_subset_problem
+from voteopt.optimizer import TIE_TOL, build_subset_problem
 from voteopt.qpsolve import QpStatus
 
 from conftest import SVM_ROW, random_accuracy_matrix
@@ -223,8 +223,9 @@ class TestProperties:
                 continue
             bnb = solve_weighting(v, params, method="bnb")
             assert bnb.objective.total == pytest.approx(
-                enum.objective.total, abs=1e-6
+                enum.objective.total, abs=TIE_TOL
             )
+            assert bnb.selection.indices == enum.selection.indices
             compared += 1
         assert compared >= 4
 

@@ -1,0 +1,271 @@
+"""The batched subset solver: exactness against scipy, certificates, the
+interior-point fallback and its failure modes, and the solve counters."""
+
+import functools
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from voteopt import (
+    AccuracyMatrix,
+    ClassSet,
+    ClassifierSet,
+    HyperParams,
+    QpStatus,
+    SolverIncomplete,
+    solve_weighting,
+    subsetsolve,
+)
+from voteopt import optimizer
+from voteopt.cli import build_parser, main
+from voteopt.qpsolve import QpSolution
+
+from conftest import D2_VALUES
+
+D2_CSV = str(Path(__file__).parent / "data" / "d2_accuracy.csv")
+
+hypothesis = pytest.importorskip("hypothesis")
+scipy_optimize = pytest.importorskip("scipy.optimize")
+st = hypothesis.strategies
+
+EPS = 1e-6
+EXACT = 1e-10
+FEAS = 1e-12
+# (lam, alpha) giving q = lam*(1-alpha)/2 of 0, 1e-9, 1e-4, the paper
+# default, and the regime where the weight floors (7) bind
+REGIMES = ((0.0, 0.85), (2e-9, 0.0), (2e-4, 0.0), (0.95, 0.85), (0.2, 0.99))
+TINY_Q = (2e-9, 0.0)
+
+
+def _matrix(values):
+    values = np.asarray(values, dtype=float)
+    n, m = values.shape
+    return AccuracyMatrix(
+        values,
+        ClassifierSet(tuple(f"c{i}" for i in range(n))),
+        ClassSet(tuple(f"e{j}" for j in range(m))),
+    )
+
+
+FAULT_POOL = np.clip(0.7 + 0.3 * np.random.default_rng(0).random((10, 5)), 0, 1)
+
+
+def reference_optimum(vals, subset, lam, alpha, eps=EPS):
+    """Subset optimum from scipy, or None when infeasible.
+
+    HiGHS solves the linear part exactly (the optimum when q = 0); SLSQP
+    started from that point solves the quadratic problem when q > 0.
+    """
+    m = vals.shape[1]
+    sub = vals[list(subset)]
+    k = len(subset)
+    nv = k * m
+    c = (sub / m - lam * alpha).ravel()
+    q = lam * (1.0 - alpha) / 2.0
+    a_eq = np.zeros((m, nv))
+    a_in = np.zeros((m + k, nv))
+    for j in range(m):
+        a_eq[j, j::m] = 1.0
+        a_in[j, j::m] = sub[:, j]
+    for i in range(k):
+        a_in[m + i, i * m:(i + 1) * m] = 1.0
+    b_in = np.concatenate([vals.mean(axis=0) + eps, np.full(k, eps)])
+    res = scipy_optimize.linprog(-c, A_ub=-a_in, b_ub=-b_in, A_eq=a_eq,
+                                 b_eq=np.ones(m), bounds=(0, None),
+                                 method="highs-ds")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    w = res.x
+    if q > 0.0:
+        res = scipy_optimize.minimize(
+            lambda w: -(c @ w - q * (w @ w)), w, jac=lambda w: -(c - 2 * q * w),
+            method="SLSQP", bounds=[(0.0, None)] * nv,
+            constraints=[
+                {"type": "eq", "fun": lambda w: a_eq @ w - 1.0, "jac": lambda w: a_eq},
+                {"type": "ineq", "fun": lambda w: a_in @ w - b_in, "jac": lambda w: a_in},
+            ],
+            options={"ftol": 1e-15, "maxiter": 1000},
+        )
+        w = np.maximum(res.x, 0.0)
+    return float(c @ w - q * (w @ w))
+
+
+def assert_feasible(vals, subset, w, eps=EPS, tol=FEAS):
+    sub = vals[list(subset)]
+    assert w.min() >= 0.0
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= tol
+    assert ((sub * w).sum(axis=0) - vals.mean(axis=0) - eps).min() >= -tol
+    assert (w.sum(axis=1) - eps).min() >= -tol
+
+
+def all_subsets(n, k):
+    return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+
+
+def check_against_reference(vals, k, lam, alpha):
+    v = _matrix(vals)
+    params = HyperParams(k=k, lam=lam, alpha=alpha)
+    subsets = all_subsets(vals.shape[0], k)
+    objective, weights, _ = optimizer._solve_subsets(v, params, subsets, 1e-8)
+    for subset, obj, w in zip(subsets, objective, weights):
+        ref = reference_optimum(vals, subset, lam, alpha)
+        if ref is None:
+            assert np.isnan(obj), f"subset {subset}: solved an infeasible subset"
+            continue
+        assert not np.isnan(obj), f"subset {subset}: feasible subset rejected"
+        assert_feasible(vals, subset, w)
+        # a feasible point cannot beat the optimum, so the lower bound pins
+        # the answer; SLSQP itself stalls on flat faces when q ~ 1e-9
+        assert obj >= ref - EXACT, f"subset {subset}: {obj!r} below {ref!r}"
+        if (lam, alpha) != TINY_Q:
+            assert obj <= ref + EXACT, f"subset {subset}: {obj!r} above {ref!r}"
+
+
+class TestExactness:
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(
+        shape=st.tuples(st.integers(2, 5), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        regime=st.sampled_from(REGIMES),
+        data=st.data(),
+    )
+    def test_random_pools_match_scipy(self, shape, seed, regime, data):
+        n, m = shape
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        # a coarse grid makes exact ties as likely as distinct values
+        vals = np.round(rng.uniform(0.5, 1.0, size=(n, m)), data.draw(st.sampled_from((2, 6))))
+        check_against_reference(vals, k, *regime)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_d2_and_fault_pool_match_scipy(self, regime):
+        check_against_reference(D2_VALUES, 5, *regime)
+        check_against_reference(FAULT_POOL, 5, *regime)
+
+    def test_fault_pool_linear_regime_picks_the_optimum(self):
+        # the interior-point solver missed this by 8.2e-9 at its 1e-8 tolerance
+        sol = solve_weighting(_matrix(FAULT_POOL), HyperParams(k=5, lam=0.0))
+        assert sol.selection.indices == (1, 2, 5, 7, 9)
+        assert sol.stats.ipm_fallback == 0
+
+    def test_d2_paper_defaults_need_no_fallback(self):
+        v = _matrix(D2_VALUES)
+        for k in range(2, 9):
+            stats = solve_weighting(v, HyperParams(k=k)).stats
+            assert stats.ipm_fallback == 0
+            assert stats.closed_form + stats.screened == stats.enumerated
+
+    def test_floor_binding_regime_is_counted(self):
+        stats = solve_weighting(_matrix(FAULT_POOL),
+                                HyperParams(k=5, lam=0.2, alpha=0.99)).stats
+        assert stats.enumerated == 252
+        assert stats.active_set > 0
+        assert (stats.screened + stats.closed_form + stats.active_set
+                + stats.ipm_fallback) == stats.enumerated
+
+    def test_lifted_floor_closed_form(self):
+        # one class whose unconstrained projection misses the floor (8):
+        # the root a* lifts it exactly onto the floor
+        vals = np.array([[0.9], [0.6], [0.88], [0.88]])
+        subsets = np.array([[0, 1]])
+        batch = subsetsolve.solve_batch(vals, subsets, 10.0, 0.0, EPS)
+        assert batch.status[0] == subsetsolve.CLOSED_FORM
+        w = batch.weights[0]
+        assert (vals[[0, 1]] * w).sum() == pytest.approx(vals.mean() + EPS, abs=1e-15)
+
+
+class TestCertificate:
+    def test_perturbed_answer_rejected(self):
+        subsets = all_subsets(8, 4)
+        lam, alpha = 0.95, 0.85
+        batch = subsetsolve.solve_batch(D2_VALUES, subsets, lam, alpha, EPS)
+        b = int(np.flatnonzero(batch.status == subsetsolve.CLOSED_FORM)[0])
+        sub = D2_VALUES[subsets[b]][None]
+        f = D2_VALUES.mean(axis=0) + EPS
+        q = lam * (1 - alpha) / 2
+        w, nu, mu = subsetsolve._projection(sub, f, q)
+        gamma = np.zeros((1, 4))
+        assert subsetsolve._certify(sub, f, q, EPS, w, nu, mu, gamma)[0]
+        moved = w.copy()
+        j = 0
+        top, low = np.argmax(w[0, :, j]), np.argmin(w[0, :, j])
+        moved[0, top, j] -= 1e-9
+        moved[0, low, j] += 1e-9
+        assert not subsetsolve._certify(sub, f, q, EPS, moved, nu, mu, gamma)[0]
+        assert not subsetsolve._certify(sub, f, q, EPS, w, nu, mu - 1e-3, gamma)[0]
+
+
+def _everything_unresolved(real):
+    def solve_batch(vals, subsets, lam, alpha, eps):
+        out = real(vals, subsets, lam, alpha, eps)
+        status = np.where(out.status == subsetsolve.SCREENED, subsetsolve.SCREENED,
+                          subsetsolve.UNRESOLVED).astype(np.int8)
+        return subsetsolve.SubsetBatch(status, np.zeros_like(out.weights),
+                                       np.full_like(out.objective, np.nan))
+    return solve_batch
+
+
+class TestFallback:
+    def test_fallback_is_counted_and_agrees_to_its_tolerance(self, monkeypatch):
+        v = _matrix(D2_VALUES)
+        params = HyperParams(k=4)
+        direct = solve_weighting(v, params)
+        monkeypatch.setattr(subsetsolve, "solve_batch",
+                            _everything_unresolved(subsetsolve.solve_batch))
+        fallback = solve_weighting(v, params)
+        assert fallback.stats.ipm_fallback == 70 - direct.stats.screened
+        assert fallback.stats.closed_form == 0
+        assert fallback.selection.indices == direct.selection.indices
+        # the interior-point answer is only as good as its 1e-8 tolerance
+        assert fallback.objective.total == pytest.approx(
+            direct.objective.total, abs=1e-7)
+
+    def test_non_converged_fallback_raises(self, monkeypatch):
+        def stuck(problem, tol=1e-8, max_iter=200):
+            return QpSolution(w=np.zeros(problem.n_vars), objective=0.0,
+                              status=QpStatus.MAX_ITERATIONS, iterations=max_iter)
+
+        monkeypatch.setattr(subsetsolve, "solve_batch",
+                            _everything_unresolved(subsetsolve.solve_batch))
+        monkeypatch.setattr(optimizer, "solve_qp", stuck)
+        with pytest.raises(SolverIncomplete, match=r"subset \(0, 1, 2\)") as info:
+            solve_weighting(_matrix(D2_VALUES), HyperParams(k=3))
+        assert info.value.subset == (0, 1, 2)
+
+
+class TestNodeLimit:
+    def test_library_raises(self):
+        with pytest.raises(SolverIncomplete, match="3 nodes"):
+            optimizer._solve_bnb(_matrix(D2_VALUES), HyperParams(k=4), 1e-8,
+                                 max_nodes=3)
+
+    def test_cli_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(optimizer, "_solve_bnb",
+                            functools.partial(optimizer._solve_bnb, max_nodes=3))
+        code = main([
+            "optimize", "--matrix", D2_CSV, "--k", "4",
+            "--method", "bnb",
+            "--out-weights", str(tmp_path / "w.csv"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert code == 5
+        assert "incomplete" in capsys.readouterr().err
+        assert "5  solve incomplete" in build_parser().format_help()
+
+
+def test_optimize_report_carries_diagnostics(tmp_path):
+    report = tmp_path / "r.json"
+    assert main([
+        "optimize", "--matrix", D2_CSV, "--k", "4",
+        "--out-weights", str(tmp_path / "w.csv"), "--out-report", str(report),
+        "--no-timestamp",
+    ]) == 0
+    diagnostics = json.loads(report.read_text())["diagnostics"]
+    assert diagnostics == {
+        "enumerated": 70, "screened": 7, "closed_form": 63,
+        "active_set": 0, "ipm_fallback": 0,
+    }
