@@ -138,7 +138,9 @@ class HyperParams:
 
     ``epsilon`` must stay well below the unit-scaled accuracies and weights,
     ``big_m`` well above them; the defaults separate cleanly for any
-    realistic class count.
+    realistic class count. No solver uses ``big_m``: it enters only the
+    literal check of (7) in ``validate_constraints``, and is kept (with the
+    ``--big-m`` flag) for compatibility.
     """
 
     k: int

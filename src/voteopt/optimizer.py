@@ -1,12 +1,13 @@
 """Exact selection of K classifiers and their per-class weights.
 
 The mixed-integer model is solved exactly: the binary selection layer is
-enumerated (or branch-and-bound searched for large pools) and the candidate
-subsets' continuous weight problems are solved in batches, in closed form or
-by an exact active-set step (:mod:`voteopt.subsetsolve`), each answer
-certified by its KKT conditions. A subset neither certifies goes to the
-dense interior-point solver and is counted. The weight model, stated over
-accuracies ``v`` and weights ``w``:
+enumerated (or branch-and-bound searched for large pools, on a closed-form
+per-class bound) and the candidate subsets' continuous weight problems are
+solved in batches, in closed form or by an exact active-set step
+(:mod:`voteopt.subsetsolve`), each answer certified by its KKT conditions.
+A subset neither certifies goes to the dense interior-point solver, the
+only place a solver tolerance applies, and is counted. The weight model,
+stated over accuracies ``v`` and weights ``w``:
 
     maximize (1/m) sum_ij w_ij v_ij
              - lam * (alpha * sum_ij w_ij + (1-alpha)/2 * sum_ij w_ij**2)
@@ -28,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -77,13 +78,15 @@ class SolverIncomplete(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What one solve did, as deterministic counts of subsets.
+    """What one solve did, as deterministic counts.
 
     ``enumerated`` subsets were examined; of those, ``screened`` were
     rejected up front (some class floor (8) above every member's accuracy),
     ``closed_form`` and ``active_set`` were solved and certified by the
     batched kernel's two stages, and ``ipm_fallback`` went to the
-    interior-point solver.
+    interior-point solver. Branch-and-bound expanded ``nodes`` nodes and
+    discarded ``pruned`` by their bound or as infeasible; both are 0 under
+    enumeration.
     """
 
     enumerated: int = 0
@@ -91,6 +94,8 @@ class SolveStats:
     closed_form: int = 0
     active_set: int = 0
     ipm_fallback: int = 0
+    nodes: int = 0
+    pruned: int = 0
 
     def __add__(self, other: "SolveStats") -> "SolveStats":
         return SolveStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -228,11 +233,11 @@ def _solve_subsets(v, params, subsets: np.ndarray, tol: float):
 
 
 def _ranked(results) -> tuple[SubsetResult, ...]:
-    return tuple(sorted(
-        results,
-        key=lambda r: (-(r.objective if r.objective is not None else -math.inf),
-                       r.subset),
-    ))
+    """Best objective first, infeasible last; ``results`` come in subset
+    order, which the stable sort keeps among equal objectives."""
+    key = np.array([-r.objective if r.objective is not None else math.inf
+                    for r in results])
+    return tuple(results[i] for i in np.argsort(key, kind="stable").tolist())
 
 
 def _pick(candidates):
@@ -267,13 +272,13 @@ def solve_weighting(
     """Globally optimal selection + weights for ensemble size ``params.k``.
 
     method: "enumerate" solves every C(n, K) subset (the default below 21
-    classifiers), "bnb" runs best-first branch-and-bound on the relaxed
-    selection, "auto" picks between them. Of the subsets whose objectives
+    classifiers), "bnb" runs best-first branch-and-bound on a per-class
+    top-K bound, "auto" picks between them. Of the subsets whose objectives
     lie within TIE_TOL (1e-9) of the best, the lexicographically smallest
-    wins (under "bnb", of the leaves the search reaches). ``tol`` is the
-    interior-point tolerance of the fallback and of the branch-and-bound
-    relaxations. ``workers`` is accepted for compatibility and has no
-    effect: enumeration is one batched pass.
+    wins; branch-and-bound reaches every such subset, so both methods pick
+    the same one. ``tol`` is the tolerance of the interior-point fallback
+    only. ``workers`` is accepted for compatibility and has no effect:
+    enumeration is one batched pass.
 
     Raises AllSubsetsInfeasible when no subset admits feasible weights and
     SolverIncomplete when a subset's fallback does not converge.
@@ -320,109 +325,74 @@ def solve_weighting(
     return _solution(v, params, _pick(candidates), results, stats)
 
 
-# --- branch and bound over the relaxed selection ----------------------------
-
-
-def _build_relaxation(v, params, fixed: dict[int, int]) -> QpProblem:
-    vals = v.values
-    n, m = vals.shape
-    nv = n * m + n  # weights then selection flags
-    lam, alpha, eps, big_m = params.lam, params.alpha, params.epsilon, params.big_m
-
-    c = np.zeros(nv)
-    c[: n * m] = (vals / m - lam * alpha).reshape(n * m)
-    q = np.zeros(nv)
-    q[: n * m] = lam * (1.0 - alpha) / 2.0
-
-    a_eq = np.zeros((m + 1 + len(fixed), nv))
-    b_eq = np.empty(m + 1 + len(fixed))
-    for j in range(m):
-        a_eq[j, j:n * m:m] = 1.0
-        b_eq[j] = 1.0
-    a_eq[m, n * m:] = 1.0
-    b_eq[m] = float(params.k)
-    for r, (i, val) in enumerate(sorted(fixed.items())):
-        a_eq[m + 1 + r, n * m + i] = 1.0
-        b_eq[m + 1 + r] = float(val)
-
-    mi = m + 1 + 3 * n
-    a_in = np.zeros((mi, nv))
-    b_in = np.empty(mi)
-    for j in range(m):  # per-class accuracy floor (8)
-        a_in[j, j:n * m:m] = vals[:, j]
-        b_in[j] = vals[:, j].mean() + eps
-    a_in[m, : n * m] = vals.reshape(n * m) / m  # overall floor (9)
-    b_in[m] = vals.mean() + eps
-    for i in range(n):
-        r = m + 1 + 3 * i
-        # (6): m x_i - sum_j w_ij >= 0
-        a_in[r, i * m:(i + 1) * m] = -1.0
-        a_in[r, n * m + i] = float(m)
-        b_in[r] = 0.0
-        # (7): sum_j w_ij - M x_i >= eps - M
-        a_in[r + 1, i * m:(i + 1) * m] = 1.0
-        a_in[r + 1, n * m + i] = -big_m
-        b_in[r + 1] = eps - big_m
-        # x_i <= 1
-        a_in[r + 2, n * m + i] = -1.0
-        b_in[r + 2] = -1.0
-    # normalize rows: the big-M coefficients otherwise wreck conditioning
-    norms = np.maximum(np.abs(a_in).max(axis=1), 1.0)
-    a_in /= norms[:, None]
-    b_in /= norms
-    return QpProblem(q, c, a_eq, b_eq, a_in, b_in)
-
-
-def _bound(sol) -> float:
-    """Upper bound from an interior-point relaxation solution.
-
-    The iterate's objective is below the relaxation optimum by at most the
-    duality gap, the mean complementarity times the number of pairs.
-    """
-    pairs = sol.z_in.size + sol.z_bounds.size
-    return sol.objective + sol.kkt_residuals["complementarity"] * pairs
+# --- branch and bound over the selection ----------------------------------------
 
 
 def _solve_bnb(v, params, tol, max_nodes: int = 100_000) -> MipSolution:
-    n, m = v.n, v.m
+    """Best-first branch-and-bound on a per-class top-K bound (Land & Doig 1960).
+
+    Classifiers are decided in one fixed order, by descending row sum, each
+    included before it is excluded. A node's bound gives every class the
+    included rows plus the undecided rows with its largest accuracies and
+    drops (7); see ``subsetsolve.relaxed_objective``. Moving weight to a
+    higher accuracy keeps the floor (8) and cannot lower a class's value,
+    and dropping (7) can only raise it, so the bound holds for every
+    completion of the node. Nodes are pruned only below the incumbent by
+    more than TIE_TOL, so every subset within TIE_TOL of the best is solved
+    and the tie rule picks the subset enumeration picks.
+    """
+    vals = v.values
+    n, k = v.n, params.k
+    f = vals.mean(axis=0) + params.epsilon
+    order = [int(i) for i in np.argsort(-vals.sum(axis=1), kind="stable")]
+    # per depth d, each class column of the undecided rows order[d:], descending
+    tops = [-np.sort(-vals[order[d:]], axis=0) for d in range(n + 1)]
     counter = itertools.count()
+    heap = []  # (-bound, tie-break, included rows, depth)
     leaves = []  # (objective, subset, weights) of every feasible leaf
     explored: list[SubsetResult] = []
     stats = SolveStats()
     incumbent = -math.inf
+    nodes = pruned = 0
 
-    def try_subset(subset):
-        nonlocal stats, incumbent
-        objective, weights, leaf_stats = _solve_subsets(
-            v, params, np.array([subset], dtype=np.intp), tol
-        )
-        stats += leaf_stats
-        obj = float(objective[0])
-        if math.isnan(obj):
-            explored.append(SubsetResult(subset, QpStatus.INFEASIBLE, None))
-        else:
-            explored.append(SubsetResult(subset, QpStatus.OPTIMAL, obj))
-            leaves.append((obj, subset, weights[0]))
-            incumbent = max(incumbent, obj)
+    def add(children):
+        """Bound (included, depth) children; solve the determined, queue the rest."""
+        nonlocal stats, incumbent, pruned
+        cols = np.stack([np.concatenate([vals[list(inc)], tops[d][:k - len(inc)]])
+                         for inc, d in children])
+        bounds = subsetsolve.relaxed_objective(cols, f, params.lam, params.alpha)
+        open_, subsets = [], []
+        for (inc, d), bound in zip(children, bounds.tolist()):
+            if bound == -math.inf or bound < incumbent - TIE_TOL:
+                pruned += 1
+            elif len(inc) == k:
+                subsets.append(tuple(sorted(inc)))
+            elif len(inc) + n - d == k:
+                subsets.append(tuple(sorted(inc + tuple(order[d:]))))
+            else:
+                open_.append((bound, inc, d))
+        if subsets:
+            objective, weights, leaf_stats = _solve_subsets(
+                v, params, np.array(subsets, dtype=np.intp), tol)
+            stats += leaf_stats
+            for subset, obj, w in zip(subsets, objective.tolist(), weights):
+                if math.isnan(obj):
+                    explored.append(SubsetResult(subset, QpStatus.INFEASIBLE, None))
+                else:
+                    explored.append(SubsetResult(subset, QpStatus.OPTIMAL, obj))
+                    leaves.append((obj, subset, w))
+                    incumbent = max(incumbent, obj)
+        for bound, inc, d in open_:
+            if bound < incumbent - TIE_TOL:
+                pruned += 1
+            else:
+                heapq.heappush(heap, (-bound, next(counter), inc, d))
 
-    def pruned(bound) -> bool:
-        # keep every node that may hold a subset within TIE_TOL of the best
-        return bound < incumbent - TIE_TOL
-
-    root = solve_qp(_build_relaxation(v, params, {}), tol=tol)
-    if root.status is QpStatus.INFEASIBLE:
-        raise AllSubsetsInfeasible(
-            "selection relaxation infeasible: no weighting beats the uniform "
-            "accuracy floors"
-        )
-    root_bound = _bound(root) if root.status is QpStatus.OPTIMAL else math.inf
-    root_x = root.w[n * m:] if root.status is QpStatus.OPTIMAL else None
-    heap = [(-root_bound, next(counter), {}, root_x)]
-    nodes = 0
+    add([((), 0)])
     while heap:
-        neg_bound, _, fixed, x = heapq.heappop(heap)
-        bound = -neg_bound
-        if pruned(bound):
+        neg_bound, _, inc, d = heapq.heappop(heap)
+        if -neg_bound < incumbent - TIE_TOL:
+            pruned += 1
             continue
         nodes += 1
         if nodes > max_nodes:
@@ -430,46 +400,14 @@ def _solve_bnb(v, params, tol, max_nodes: int = 100_000) -> MipSolution:
                 f"branch-and-bound exceeded {max_nodes} nodes before closing "
                 "the search"
             )
-        if x is not None:
-            frac = np.abs(x - np.round(x))
-            if frac.max() <= 1e-6:
-                subset = tuple(int(i) for i in np.flatnonzero(np.round(x) > 0.5))
-                try_subset(subset)
-                continue
-            branch_i = int(np.argmax(frac))
-        else:
-            branch_i = min(i for i in range(n) if i not in fixed)
-        for val in (1, 0):
-            child_fixed = dict(fixed)
-            child_fixed[branch_i] = val
-            ones = sum(child_fixed.values())
-            zeros = len(child_fixed) - ones
-            if ones > params.k or zeros > n - params.k:
-                continue
-            if len(child_fixed) == n:
-                try_subset(tuple(i for i, f in sorted(child_fixed.items()) if f))
-                continue
-            child = solve_qp(_build_relaxation(v, params, child_fixed), tol=tol)
-            if child.status is QpStatus.INFEASIBLE:
-                continue
-            if child.status is QpStatus.OPTIMAL:
-                child_bound = min(bound, _bound(child))
-                child_x = child.w[n * m:]
-            else:
-                # unsolved relaxation: inherit the parent's valid bound and
-                # keep branching on the fixing order
-                child_bound = bound
-                child_x = None
-            if pruned(child_bound):
-                continue
-            heapq.heappush(
-                heap, (-child_bound, next(counter), child_fixed, child_x)
-            )
+        add([(inc + (order[d],), d + 1), (inc, d + 1)])
 
+    stats = replace(stats, nodes=nodes, pruned=pruned)
+    explored.sort(key=lambda r: r.subset)
     if not leaves:
         raise AllSubsetsInfeasible(
-            f"all subsets of size {params.k} are infeasible",
-            subset_rank=tuple(explored),
+            f"all subsets of size {k} are infeasible",
+            subset_rank=_ranked(explored),
         )
     return _solution(v, params, _pick(leaves), explored, stats)
 

@@ -1,6 +1,5 @@
-"""Dense convex quadratic programming: the branch-and-bound relaxations and
-the fallback for subsets the batched solver of :mod:`voteopt.subsetsolve`
-cannot certify.
+"""Dense convex quadratic programming: the fallback for subsets the batched
+solver of :mod:`voteopt.subsetsolve` cannot certify.
 
 ``solve_qp`` runs a primal-dual interior-point method (Mehrotra
 predictor-corrector); ``grid_oracle`` is an independent brute-force

@@ -72,6 +72,27 @@ def subset_objective(sub, w, lam, alpha):
                              + (1.0 - alpha) / 2.0 * (w * w).sum(axis=(1, 2)))
 
 
+def relaxed_objective(sub, f, lam, alpha):
+    """Objective of (B, K, m) columns with the weight floors (7) dropped.
+
+    Each class then solves its own problem: the projection for q > 0, all
+    its mass on the column maximum for q = 0. -inf where some class floor
+    ``f_j`` exceeds every entry of its column.
+    """
+    q = lam * (1.0 - alpha) / 2.0
+    feasible = np.all(sub.max(axis=1) >= f, axis=1)
+    out = np.full(len(sub), -np.inf)
+    s = sub[feasible]
+    if q > 0.0:
+        w = _projection(s, f, q)[0]
+    else:
+        batch, _, m = s.shape
+        w = np.zeros_like(s)
+        w[np.arange(batch)[:, None], np.argmax(s, axis=1), np.arange(m)] = 1.0
+    out[feasible] = subset_objective(s, w, lam, alpha)
+    return out
+
+
 def solve_batch(vals, subsets, lam, alpha, eps) -> SubsetBatch:
     """Solve and certify the weight problem of every row of ``subsets``.
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -226,12 +227,16 @@ class TestCliOptimizeValidate:
         assert doc["hyperparams"]["lam"] == 0.96
 
     def test_module_entry_point(self, tmp_path):
+        # the child interpreter finds the package as this one does, installed
+        # or not
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "voteopt", "optimize",
              "--matrix", D2_CSV, "--k", "3",
              "--out-weights", str(tmp_path / "w.csv"),
              "--out-report", str(tmp_path / "r.json"), "--no-timestamp"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
 

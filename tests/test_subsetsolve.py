@@ -1,5 +1,6 @@
 """The batched subset solver: exactness against scipy, certificates, the
-interior-point fallback and its failure modes, and the solve counters."""
+interior-point fallback and its failure modes, the solve counters, and the
+branch-and-bound search built on the closed-form bound."""
 
 import functools
 import itertools
@@ -11,6 +12,7 @@ import pytest
 
 from voteopt import (
     AccuracyMatrix,
+    AllSubsetsInfeasible,
     ClassSet,
     ClassifierSet,
     HyperParams,
@@ -267,5 +269,100 @@ def test_optimize_report_carries_diagnostics(tmp_path):
     diagnostics = json.loads(report.read_text())["diagnostics"]
     assert diagnostics == {
         "enumerated": 70, "screened": 7, "closed_form": 63,
-        "active_set": 0, "ipm_fallback": 0,
+        "active_set": 0, "ipm_fallback": 0, "nodes": 0, "pruned": 0,
     }
+
+
+def test_bnb_report_counts_nodes(tmp_path):
+    report = tmp_path / "r.json"
+    assert main([
+        "optimize", "--matrix", D2_CSV, "--k", "4", "--method", "bnb",
+        "--out-weights", str(tmp_path / "w.csv"), "--out-report", str(report),
+        "--no-timestamp",
+    ]) == 0
+    diagnostics = json.loads(report.read_text())["diagnostics"]
+    assert diagnostics["nodes"] > 0
+    assert diagnostics["enumerated"] < 70
+
+
+# q > 0, q = 0, and the regime where the floors (7) bind
+BNB_REGIMES = ((0.95, 0.85), (0.0, 0.85), (0.2, 0.99))
+
+
+class TestBranchAndBound:
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(
+        shape=st.tuples(st.integers(2, 7), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        regime=st.sampled_from(BNB_REGIMES),
+        data=st.data(),
+    )
+    def test_bound_covers_every_completion(self, shape, seed, regime, data):
+        n, m = shape
+        rng = np.random.default_rng(seed)
+        vals = np.round(rng.uniform(0.5, 1.0, size=(n, m)), data.draw(st.sampled_from((2, 6))))
+        k = data.draw(st.integers(1, n))
+        rows = [int(i) for i in rng.permutation(n)]
+        n_in = data.draw(st.integers(0, k))
+        included = rows[:n_in]
+        free = rows[n_in:n_in + data.draw(st.integers(k - n_in, n - n_in))]
+        f = vals.mean(axis=0) + EPS
+        top = -np.sort(-vals[free], axis=0)[:k - n_in]
+        column = np.concatenate([vals[included], top])[None]
+        bound = subsetsolve.relaxed_objective(column, f, *regime)[0]
+
+        completions = np.array([sorted(included + list(c))
+                                for c in itertools.combinations(free, k - n_in)],
+                               dtype=np.intp)
+        batch = subsetsolve.solve_batch(vals, completions, *regime, EPS)
+        certified = ((batch.status == subsetsolve.CLOSED_FORM)
+                     | (batch.status == subsetsolve.ACTIVE_SET))
+        if bound == -np.inf:
+            assert np.all(batch.status == subsetsolve.SCREENED)
+        assert np.all(batch.objective[certified] <= bound + 1e-12)
+
+    @pytest.mark.parametrize("regime", BNB_REGIMES)
+    def test_selection_matches_enumeration_up_to_14(self, regime):
+        compared = 0
+        for seed, n in enumerate((8, 10, 12, 14) * 2):
+            rng = np.random.default_rng(seed)
+            v = _matrix(np.clip(0.7 + 0.3 * rng.random((n, 5)), 0, 1))
+            params = HyperParams(k=int(rng.integers(2, n)), lam=regime[0], alpha=regime[1])
+            try:
+                enum = solve_weighting(v, params, method="enumerate")
+            except AllSubsetsInfeasible:
+                with pytest.raises(AllSubsetsInfeasible):
+                    solve_weighting(v, params, method="bnb")
+                continue
+            bnb = solve_weighting(v, params, method="bnb")
+            assert bnb.selection.indices == enum.selection.indices
+            assert bnb.objective.total == pytest.approx(
+                enum.objective.total, abs=optimizer.TIE_TOL)
+            assert bnb.stats.nodes > 0
+            assert bnb.stats.enumerated < enum.stats.enumerated
+            compared += 1
+        assert compared >= 6
+
+    def test_auto_above_twenty_classifiers_matches_enumeration(self):
+        v = _matrix(np.clip(0.7 + 0.3 * np.random.default_rng(3).random((22, 5)), 0, 1))
+        params = HyperParams(k=4)
+        auto = solve_weighting(v, params)
+        assert auto.stats.nodes > 0  # routed to branch-and-bound
+        enum = solve_weighting(v, params, method="enumerate")
+        assert auto.selection.indices == enum.selection.indices
+
+
+def _old_rank_key(r):
+    return (-(r.objective if r.objective is not None else -np.inf), r.subset)
+
+
+def test_subset_rank_order_on_ties():
+    # duplicated rows make many subsets tie exactly
+    v = _matrix(np.vstack([D2_VALUES[:4], D2_VALUES[:4]]))
+    rank = solve_weighting(v, HyperParams(k=3), method="enumerate").subset_rank
+    objectives = [r.objective for r in rank if r.objective is not None]
+    assert len(set(objectives)) < len(objectives)
+    assert any(r.objective is None for r in rank)
+    assert list(rank) == sorted(rank, key=_old_rank_key)
+    rank = solve_weighting(v, HyperParams(k=3), method="bnb").subset_rank
+    assert list(rank) == sorted(rank, key=_old_rank_key)
