@@ -7,7 +7,6 @@ exactly; six reference weighting schemes, imbalance-aware metrics and
 resampling utilities round out the experiment pipeline.
 """
 
-from ._backend import BACKEND
 from .baselines import (
     DeParams,
     baseline_with_selection,
@@ -64,6 +63,9 @@ from .sampling import (
 )
 
 __version__ = "0.1.0"
+
+# Every kernel is plain numpy; kept as a constant for callers that report it.
+BACKEND = "numpy"
 
 __all__ = [
     "AccuracyMatrix",

@@ -1,9 +1,10 @@
 """Dense convex quadratic programming: the fallback for subsets the batched
 solver of :mod:`voteopt.subsetsolve` cannot certify.
 
-``solve_qp`` runs a primal-dual interior-point method (Mehrotra
+``solve_qp`` runs a primal-dual interior-point method (Mehrotra 1992
 predictor-corrector); ``grid_oracle`` is an independent brute-force
-enumerator used to validate it. Problems are stated in one canonical form:
+enumerator used to validate it. Both are vectorized numpy. Problems are
+stated in one canonical form:
 
     maximize    c.w - sum_i q_i * w_i**2
     subject to  a_eq @ w == b_eq
@@ -17,16 +18,19 @@ inequality block rather than split into opposing pairs.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import IPM_CONVERGED, IPM_DIVERGED
-
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
+
+# ipm_solve status codes
+IPM_CONVERGED = 0
+IPM_MAX_ITER = 1
+IPM_DIVERGED = 2
 
 _ORACLE_MAX_VARS = 8
 _ORACLE_MAX_POINTS = 5_000_000
@@ -63,18 +67,17 @@ class QpProblem:
             raise ValueError("a_eq/b_eq row count mismatch")
         if a_in.shape[0] != b_in.shape[0]:
             raise ValueError("a_in/b_in row count mismatch")
-        for name, arr in (("q", q), ("c", c), ("a_eq", a_eq),
-                          ("b_eq", b_eq), ("a_in", a_in), ("b_in", b_in)):
+        arrays = {"q": q, "c": c, "a_eq": a_eq, "b_eq": b_eq, "a_in": a_in, "b_in": b_in}
+        for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
         if q.size and q.min() < 0.0:
             raise ValueError(
                 f"negative quadratic coefficient {q.min()}: problem is non-convex"
             )
-        for fname, arr in (("q", q), ("c", c), ("a_eq", a_eq),
-                           ("b_eq", b_eq), ("a_in", a_in), ("b_in", b_in)):
+        for name, arr in arrays.items():
             arr.flags.writeable = False
-            object.__setattr__(self, fname, arr)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_vars(self) -> int:
@@ -119,9 +122,100 @@ class QpSolution:
         return self.status is QpStatus.OPTIMAL
 
 
+def _step_length(x, dx):
+    """Largest step in (0, 1] that keeps ``x + step * dx`` at least 1% of ``x``."""
+    neg = dx < 0.0
+    return np.min(-0.99 * x[neg] / dx[neg], initial=1.0)
+
+
+def ipm_solve(qdiag, c, a_eq, b_eq, g_in, h_in, tol, max_iter):
+    """Primal-dual interior point with Mehrotra predictor-corrector steps.
+
+    Maximizes ``c.w - sum(qdiag * w**2)`` subject to ``a_eq @ w == b_eq``,
+    ``g_in @ w >= h_in`` and ``w >= 0`` (bounds are folded into the
+    inequality block, so the scaled normal matrix stays positive definite
+    even in the linear case qdiag == 0).
+
+    Returns ``(w, y, z, status, iters, res_stat, res_primal, res_comp)``
+    where y/z are the equality/inequality multipliers of the best iterate.
+    """
+    nv = c.shape[0]
+    me = b_eq.shape[0]
+    gf = np.vstack([g_in, np.eye(nv)])
+    hf = np.concatenate([h_in, np.zeros(nv)])
+    mt = gf.shape[0]
+    two_q = 2.0 * qdiag
+    reg = np.diag(np.full(me, -1e-10))
+
+    w, y, s, z = np.ones(nv), np.zeros(me), np.ones(mt), np.ones(mt)
+    best_err = np.inf
+    best = (w, y, z, np.inf, np.inf, np.inf)
+    status = IPM_MAX_ITER
+    iters = stall = 0
+    for _ in range(max_iter):
+        iters += 1
+        rd = two_q * w - c - gf.T @ z - a_eq.T @ y
+        rp = a_eq @ w - b_eq
+        gw = gf @ w
+        rg = gw - s - hf
+        mu = (s @ z) / mt
+        if not np.isfinite(mu) or mu > 1e14:
+            status = IPM_DIVERGED
+            break
+
+        res_stat = np.max(np.abs(rd), initial=0.0)
+        res_primal = max(np.max(np.abs(rp), initial=0.0),
+                         np.max(hf - gw, initial=0.0))
+        err = max(res_stat, res_primal, mu)
+        if err < best_err:
+            if err < 0.5 * best_err:
+                stall = 0
+            best_err = err
+            best = (w, y, z, res_stat, res_primal, mu)
+        else:
+            stall += 1
+        if err <= tol:
+            status = IPM_CONVERGED
+            break
+        if stall > 30:
+            break
+
+        h_mat = gf.T @ ((z / s)[:, None] * gf)
+        h_mat[np.diag_indices(nv)] += two_q + 1e-12
+        kkt = np.block([[h_mat, -a_eq.T], [a_eq, reg]])
+        comp = s * z
+
+        def direction(target):
+            rhs1 = -rd - gf.T @ ((target + z * rg) / s)
+            sol = np.linalg.solve(kkt, np.concatenate([rhs1, -rp]))
+            ds = gf @ sol[:nv] + rg
+            dz = -(target + z * ds) / s
+            return sol[:nv], sol[nv:], ds, dz
+
+        # predictor (affine) step, then the centred corrector
+        _, _, ds, dz = direction(comp)
+        ap, ad = _step_length(s, ds), _step_length(z, dz)
+        mu_aff = ((s + ap * ds) @ (z + ad * dz)) / mt
+        ratio = min(max(mu_aff / mu, 0.0), 1.0)
+        sigma = ratio * ratio * ratio  # not ratio**3, which rounds differently
+        dw, dy, ds, dz = direction(comp + ds * dz - sigma * mu)
+        ap, ad = _step_length(s, ds), _step_length(z, dz)
+        w = w + ap * dw
+        s = s + ap * ds
+        z = z + ad * dz
+        y = y + ad * dy
+        if not np.all(np.isfinite(w)):
+            status = IPM_DIVERGED
+            break
+
+    # a converged iterate is always the best one
+    w, y, z, res_stat, res_primal, res_comp = best
+    return w, y, z, status, iters, res_stat, res_primal, res_comp
+
+
 def _run_kernel(problem: QpProblem, tol: float, max_iter: int):
     try:
-        return _kernels.ipm_solve(
+        return ipm_solve(
             problem.q, problem.c, problem.a_eq, problem.b_eq,
             problem.a_in, problem.b_in, tol, max_iter,
         )
@@ -207,27 +301,21 @@ def solve_qp(
     )
     feas_tol = max(tol, 1e-9) * scale
     violation, eq_viol, in_viol = _phase1(problem, tol, max_iter)
+    status, certificate = QpStatus.MAX_ITERATIONS, None
     if violation > feas_tol:
         bad_eq = [int(i) for i in np.flatnonzero(eq_viol > feas_tol)]
         bad_in = [int(i) for i in np.flatnonzero(in_viol > feas_tol)]
-        certificate = (
+        status, certificate = QpStatus.INFEASIBLE, (
             f"total violation {violation:.3e}; "
             f"unsatisfiable equality rows {bad_eq}, inequality rows {bad_in}"
-        )
-        return QpSolution(
-            w=w,
-            objective=problem.objective(w),
-            status=QpStatus.INFEASIBLE,
-            kkt_residuals=residuals,
-            iterations=int(iters),
-            certificate=certificate,
         )
     return QpSolution(
         w=w,
         objective=problem.objective(w),
-        status=QpStatus.MAX_ITERATIONS,
+        status=status,
         kkt_residuals=residuals,
         iterations=int(iters),
+        certificate=certificate,
     )
 
 
@@ -242,32 +330,35 @@ def _find_simplex_blocks(a_eq: np.ndarray, b_eq: np.ndarray):
     covered_eq_rows) where blocks is a list of variable-index arrays; any
     variable outside all blocks becomes its own box block.
     """
-    me, nv = a_eq.shape
-    var_rows = [[] for _ in range(nv)]
-    for r in range(me):
-        for k in np.flatnonzero(a_eq[r]):
-            var_rows[k].append(r)
-    blocks = []
-    covered_rows = []
-    for r in range(me):
+    rows_per_var = np.count_nonzero(a_eq, axis=0)
+    blocks, covered_rows = [], set()
+    covered = np.zeros(a_eq.shape[1], dtype=bool)
+    for r in range(a_eq.shape[0]):
         support = np.flatnonzero(a_eq[r])
-        if support.size == 0:
-            continue
-        is_simplex = (
-            b_eq[r] == 1.0
-            and np.all(a_eq[r, support] == 1.0)
-            and all(var_rows[k] == [r] for k in support)
-        )
-        if is_simplex:
+        if (support.size and b_eq[r] == 1.0 and np.all(a_eq[r, support] == 1.0)
+                and np.all(rows_per_var[support] == 1)):
             blocks.append(("simplex", support))
-            covered_rows.append(r)
-    covered_vars = set()
-    for _, support in blocks:
-        covered_vars.update(int(k) for k in support)
-    for k in range(nv):
-        if k not in covered_vars:
-            blocks.append(("box", np.array([k], dtype=np.int64)))
-    return blocks, set(covered_rows)
+            covered_rows.add(r)
+            covered[support] = True
+    blocks += [("box", k) for k in np.flatnonzero(~covered).reshape(-1, 1)]
+    return blocks, covered_rows
+
+
+def _compositions(units: int, parts: int) -> np.ndarray:
+    """Every composition of ``units`` into ``parts`` non-negative integers.
+
+    Reverse-lexicographic rows, the first (units, 0, ..., 0). Each row
+    places ``parts - 1`` bars among ``units + parts - 1`` slots (stars and
+    bars); bar positions in lexicographic order give compositions in
+    lexicographic order, so the rows are read back to front.
+    """
+    slots = units + parts - 1
+    count = math.comb(slots, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64, count=count * (parts - 1),
+    ).reshape(count, parts - 1)
+    return np.diff(bars[::-1], axis=1, prepend=-1, append=slots) - 1
 
 
 def _block_candidates(kind: str, size: int, units: int) -> np.ndarray:
@@ -277,9 +368,7 @@ def _block_candidates(kind: str, size: int, units: int) -> np.ndarray:
             raise ValueError(
                 f"grid too large: {count} simplex points for a {size}-variable block"
             )
-        comps = np.empty((count, size), dtype=np.int64)
-        _kernels.fill_compositions(comps, units, size)
-        return comps.astype(np.float64) / units
+        return _compositions(units, size).astype(np.float64) / units
     return np.linspace(0.0, 1.0, units + 1).reshape(-1, 1)
 
 
@@ -293,8 +382,9 @@ def grid_oracle(problem: QpProblem, step: float) -> QpSolution:
     spanning several blocks force a (capped) product enumeration unless they
     are satisfied by every candidate combination.
 
-    Intended for validation only: the variable count is limited to
-    {max_vars} and candidate counts to {max_points}.
+    Intended for validation only: the variable count is limited to 8
+    (``_ORACLE_MAX_VARS``) and candidate counts to 5,000,000
+    (``_ORACLE_MAX_POINTS``).
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -418,7 +508,3 @@ def grid_oracle(problem: QpProblem, step: float) -> QpSolution:
         w=w, objective=float(total[best]), status=QpStatus.OPTIMAL, iterations=0
     )
 
-
-grid_oracle.__doc__ = grid_oracle.__doc__.format(
-    max_vars=_ORACLE_MAX_VARS, max_points=_ORACLE_MAX_POINTS
-)

@@ -65,11 +65,17 @@ class SubsetBatch:
 
 
 def subset_objective(sub, w, lam, alpha):
-    """Regularized objective of (B, K, m) weights, as ``core.objective_value``."""
+    """Regularized objective of (B, K, m) weights, as ``core.objective_value``.
+
+    Each term adds its per-row totals in sorted order, so subsets holding
+    the same rows in another order get bit-identical objectives.
+    """
+    def total(x):
+        return np.sort(x.sum(axis=2), axis=1).sum(axis=1)
+
     m = sub.shape[2]
-    accuracy = (sub * w).sum(axis=(1, 2)) / m
-    return accuracy - lam * (alpha * w.sum(axis=(1, 2))
-                             + (1.0 - alpha) / 2.0 * (w * w).sum(axis=(1, 2)))
+    return total(sub * w) / m - lam * (alpha * total(w)
+                                       + (1.0 - alpha) / 2.0 * total(w * w))
 
 
 def relaxed_objective(sub, f, lam, alpha):

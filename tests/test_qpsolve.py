@@ -1,8 +1,16 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import voteopt
 from voteopt import HyperParams, QpProblem, QpStatus, grid_oracle, solve_qp
 from voteopt.optimizer import build_subset_problem
+from voteopt.qpsolve import _compositions
 
 from conftest import random_accuracy_matrix
 
@@ -116,6 +124,67 @@ class TestSolveQp:
                 masses.append(float(sol.w @ sol.w))
             for lo, hi in zip(masses, masses[1:]):
                 assert hi <= lo + 1e-6
+
+
+    def test_no_equality_rows_closed_form(self):
+        # separable with one slack inequality: w_i = max(c_i / (2 q_i), 0)
+        q, c = np.array([1.0, 2.0, 0.5]), np.array([1.0, -1.0, 3.0])
+        p = QpProblem.build(q=q, c=c, a_in=[[1.0, 1.0, 1.0]], b_in=[0.5])
+        sol = solve_qp(p)
+        assert sol.status is QpStatus.OPTIMAL
+        assert sol.y_eq.shape == (0,)
+        assert sol.w == pytest.approx(np.maximum(c / (2.0 * q), 0.0), abs=1e-7)
+        assert sol.z_in == pytest.approx([0.0], abs=1e-7)
+
+    @pytest.mark.parametrize("problem, iterations, w", [
+        # D2 rows (0, 2, 5) at lam 0.2, alpha 0.99, where the floors bind
+        ("d2", 10, [
+            0.9999999588177516, 0.9999999813547105, 8.150635319303092e-08,
+            0.9999999744777462, 0.004229901669116048, 3.2602611813660547e-08,
+            9.589006016169888e-09, 1.6301305039814217e-08, 1.8112566660369662e-08,
+            0.9957699344357644, 8.579636640521158e-09, 9.056283490007937e-09,
+            0.9999999021923418, 7.409686935736842e-09, 1.6389512096022907e-07]),
+        ("no_eq", 6, [0.4999999983731431, 4.877724163462844e-10, 3.0000000089003036]),
+    ])
+    def test_iterates_pinned(self, d2_matrix, problem, iterations, w):
+        # iteration counts and weights of the interior-point method as it
+        # stood with scalar-loop kernels; the vectorized one must match
+        if problem == "d2":
+            p = build_subset_problem(
+                d2_matrix, HyperParams(k=3, lam=0.2, alpha=0.99), (0, 2, 5))
+        else:
+            p = QpProblem.build(q=[1.0, 2.0, 0.5], c=[1.0, -1.0, 3.0],
+                                a_in=[[1.0, 1.0, 1.0]], b_in=[0.5])
+        sol = solve_qp(p)
+        assert sol.status is QpStatus.OPTIMAL
+        assert sol.iterations == iterations
+        assert np.max(np.abs(sol.w - np.array(w))) <= 1e-12
+
+
+@pytest.mark.parametrize("units, parts",
+                         [(1, 1), (100, 1), (100, 2), (10, 5), (20, 4), (8, 8), (2, 6)])
+def test_compositions(units, parts):
+    comps = _compositions(units, parts)
+    assert comps.shape == (math.comb(units + parts - 1, parts - 1), parts)
+    assert np.all(comps >= 0)
+    assert np.all(comps.sum(axis=1) == units)
+    assert tuple(comps[0]) == (units,) + (0,) * (parts - 1)
+    rows = [tuple(r) for r in comps.tolist()]
+    assert all(a > b for a, b in zip(rows, rows[1:]))
+
+
+def test_backend_is_numpy():
+    assert voteopt.BACKEND == "numpy"
+    # the variable that once picked a compiled backend is now ignored
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import voteopt; print(voteopt.BACKEND)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "VOTEOPT_BACKEND": "numba"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "numpy"
 
 
 class TestGridOracle:

@@ -366,3 +366,20 @@ def test_subset_rank_order_on_ties():
     assert list(rank) == sorted(rank, key=_old_rank_key)
     rank = solve_weighting(v, HyperParams(k=3), method="bnb").subset_rank
     assert list(rank) == sorted(rank, key=_old_rank_key)
+
+
+@pytest.mark.parametrize("method", ["enumerate", "bnb"])
+def test_equal_rows_give_equal_objectives(method):
+    # D2 with rows 0-3 appended: subsets holding the same rows in another
+    # order tie exactly and are ranked lexicographically
+    vals = np.vstack([D2_VALUES, D2_VALUES[:4]])
+    rank = solve_weighting(_matrix(vals), HyperParams(k=3), method=method).subset_rank
+    groups = {}
+    for r in rank:
+        if r.objective is not None:
+            key = tuple(sorted(map(tuple, vals[list(r.subset)].tolist())))
+            groups.setdefault(key, []).append(r)
+    assert any(len(g) > 1 for g in groups.values())
+    for g in groups.values():
+        assert len({r.objective for r in g}) == 1
+        assert [r.subset for r in g] == sorted(r.subset for r in g)
