@@ -101,6 +101,26 @@ def _project_simplex(vec: np.ndarray) -> np.ndarray:
     return np.maximum(vec - theta, 0.0)
 
 
+def _trial_ceiling(coef: np.ndarray) -> float:
+    """A bound on the computed fitness ``_project_simplex(vec) @ coef``.
+
+    For vec in [-a, a]^n, a = 3: DE's population stays in [0, 1]^n and
+    F <= 2, so its trial vectors lie in [-2, 3]^n. Let e = eps/2 and
+    C = max|coef|. Sort vec descending into u with prefix sums css and let
+    T_r = (css_r - 1)/(r + 1). Each test ``u_r (r+1) > css_r - 1`` decides
+    the sign of u_r - T_r up to d = (n + 4) a e (cumsum error (r+1) r a e,
+    plus three roundings), and the computed theta is within d of T_r. The
+    test holds at the chosen r and fails at r + 1, so sum(max(vec - T_r, 0))
+    is in [1, 1 + 2nd]; theta moves it by at most nd and the rounded
+    subtractions by a factor 1 +- e. So the trial (>= 0) sums to s with
+    |s - 1| <= (3n + 1) d, and scores at most max(coef) + C |s - 1|, plus
+    n e s C from the dot product: an excess below (3n + 2)(n + 4) a e C =
+    1.5 (3n + 2)(n + 4) eps C. The margin is 16 (n + 4)^2 eps C, over 3.5x.
+    """
+    margin = 16 * (coef.size + 4) ** 2 * np.finfo(np.float64).eps
+    return float(coef.max() + margin * np.abs(coef).max())
+
+
 def de_weights(
     v: AccuracyMatrix | np.ndarray,
     params: DeParams = DeParams(),
@@ -114,6 +134,12 @@ def de_weights(
     so every class column sums to 1. Bitwise reproducible for a fixed seed.
     ``fitness_trace``, when given, collects the population-best fitness
     after each generation.
+
+    The initial population is scored unprojected. On pools where a random
+    initial vector already scores above every simplex point, no trial can
+    replace it and DE returns that vector normalized (on D2 this is why SVM
+    gets about 0.12, not 0); every trial then scores below the best
+    (``_trial_ceiling``), so no generation needs to run.
     """
     vals = _values(v)
     n = vals.shape[0]
@@ -125,8 +151,10 @@ def de_weights(
 
     population = rng.random((pop, n))
     fitness = population @ coef
+    # no trial can beat a member above the ceiling: the run is decided
+    settled = fitness.max() > _trial_ceiling(coef)
     for _ in range(params.max_generations):
-        for i in range(pop):
+        for i in range(0 if settled else pop):
             idx = rng.choice(pop - 1, size=3, replace=False)
             idx[idx >= i] += 1
             mutant = population[idx[0]] + f * (population[idx[1]] - population[idx[2]])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -188,14 +189,17 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
             f"{path}: header must start with instance_id,true_class"
         )
     soft = any(":" in col for col in header[2:])
+    body = rows[1:]
+    # the true-class column, then in the hard layout one vote column per
+    # classifier; each distinct raw label cell is stripped and looked up once
+    labels = [[row[1] for row in body]] if soft else list(zip(*body))[1:]
+    lookup = dict.fromkeys(set().union(*labels))
     if soft:
         clf_names, cls_names = _soft_header_layout(header[2:], path)
     else:
         clf_names = tuple(header[2:])
         if classes is None:
-            labels = sorted({row[1].strip() for row in rows[1:]}
-                            | {c.strip() for row in rows[1:] for c in row[2:]})
-            cls_names = tuple(labels)
+            cls_names = tuple(sorted({cell.strip() for cell in lookup}))
         else:
             cls_names = classes.names
 
@@ -213,35 +217,38 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
     n, m = clf_set.n, cls_set.m
     cls_index = {name: j for j, name in enumerate(cls_set.names)}
 
-    ids, truth, scores = [], [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        ids.append(row[0].strip())
-        true_label = row[1].strip()
-        if true_label not in cls_index:
-            raise ValueError(f"{path}:{ln}: unknown true class {true_label!r}")
-        truth.append(cls_index[true_label])
-        if soft:
-            flat = [
-                _parse_float(cell, path, ln, col)
-                for col, cell in zip(header[2:], row[2:])
-            ]
-            scores.append(np.array(flat).reshape(n, m))
-        else:
-            block = np.zeros((n, m))
-            for i, cell in enumerate(row[2:]):
-                vote = cell.strip()
-                if vote not in cls_index:
-                    raise ValueError(
-                        f"{path}:{ln}: column {header[2 + i]!r}: unknown class "
-                        f"{vote!r}"
-                    )
-                block[i, cls_index[vote]] = 1.0
-            scores.append(block)
-    if not ids:
+    if not body:
         raise ValueError(f"{path}: no instances")
+    for cell in lookup:
+        lookup[cell] = cls_index.get(cell.strip(), -1)
+    try:
+        codes = np.stack([np.fromiter(map(lookup.__getitem__, col), np.int64, len(body))
+                          for col in labels], axis=1)
+        if codes.min() < 0:
+            raise ValueError("unknown class label")
+        if soft:
+            cells = map(float, chain.from_iterable(row[2:] for row in body))
+            scores = np.fromiter(cells, np.float64, len(body) * n * m).reshape(-1, n, m)
+        else:
+            scores = np.zeros((len(body), n, m))
+            np.put_along_axis(scores, codes[:, 1:, None], 1.0, axis=2)
+    except ValueError:
+        # rescan in file order to name the first bad cell: each row's true
+        # class, then its cells
+        for ln, row in enumerate(body, start=2):
+            true_label = row[1].strip()
+            if true_label not in cls_index:
+                raise ValueError(f"{path}:{ln}: unknown true class {true_label!r}")
+            for col, cell in zip(header[2:], row[2:]):
+                if soft:
+                    _parse_float(cell, path, ln, col)
+                elif cell.strip() not in cls_index:
+                    raise ValueError(
+                        f"{path}:{ln}: column {col!r}: unknown class {cell.strip()!r}"
+                    )
+        raise
     return PredictionSet(
-        tuple(ids), np.array(truth, dtype=np.int64), np.stack(scores),
-        clf_set, cls_set,
+        tuple(row[0].strip() for row in body), codes[:, 0], scores, clf_set, cls_set,
     )
 
 

@@ -120,7 +120,8 @@ def binary_auprc(scores: np.ndarray, positive: np.ndarray) -> float:
     p_total = int(positive.sum())
     if p_total == 0:
         raise ValueError("binary_auprc requires at least one positive instance")
-    order = np.argsort(-scores, kind="stable")
+    # any sort will do: a tie group is read only at its last index
+    order = np.argsort(-scores)
     sorted_scores = scores[order]
     sorted_pos = positive[order].astype(np.int64)
     # last index of each tied-score group

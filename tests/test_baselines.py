@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voteopt import (
     DeParams,
@@ -13,7 +14,8 @@ from voteopt import (
     wa_pc,
     wa_pcc,
 )
-from voteopt.baselines import compute_scheme, de_fitness
+from voteopt import baselines
+from voteopt.baselines import _project_simplex, _trial_ceiling, compute_scheme, de_fitness
 
 from conftest import D2_VALUES, SVM_ROW, random_accuracy_matrix
 
@@ -194,3 +196,134 @@ class TestBaselineWithSelection:
             for s in itertools.combinations(range(5), 2)
         )
         assert selection.indices == best[1]
+
+
+def full_loop_de(vals, params=DeParams(), fitness_trace=None):
+    """The reference: de_weights with every generation run, no early exit."""
+    n = vals.shape[0]
+    coef = vals.mean(axis=1)
+    rng = np.random.default_rng(params.rng_seed)
+    pop = params.population_size
+    f = params.differential_weight
+    cr = params.crossover_rate
+    population = rng.random((pop, n))
+    fitness = population @ coef
+    for _ in range(params.max_generations):
+        for i in range(pop):
+            idx = rng.choice(pop - 1, size=3, replace=False)
+            idx[idx >= i] += 1
+            mutant = population[idx[0]] + f * (population[idx[1]] - population[idx[2]])
+            cross = rng.random(n) < cr
+            cross[rng.integers(n)] = True
+            trial = _project_simplex(np.where(cross, mutant, population[i]))
+            trial_fitness = trial @ coef
+            if trial_fitness > fitness[i]:
+                population[i] = trial
+                fitness[i] = trial_fitness
+        if fitness_trace is not None:
+            fitness_trace.append(float(fitness.max()))
+    best = population[int(np.argmax(fitness))]
+    total = best.sum()
+    genome = best / total if total > 0 else np.full(n, 1.0 / n)
+    return np.repeat(genome[:, None], vals.shape[1], axis=1)
+
+
+def exit_fires(vals, params):
+    population = np.random.default_rng(params.rng_seed).random(
+        (params.population_size, vals.shape[0])
+    )
+    coef = vals.mean(axis=1)
+    return (population @ coef).max() > _trial_ceiling(coef)
+
+
+class TestDeEarlyExit:
+    def assert_same_as_full_loop(self, vals, params):
+        trace, want_trace = [], []
+        got = de_weights(vals, params, fitness_trace=trace).w
+        want = full_loop_de(vals, params, fitness_trace=want_trace)
+        assert got.tobytes() == want.tobytes()
+        assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+        assert len(trace) == params.max_generations
+
+    def test_every_d2_subset_matches_the_full_loop(self):
+        # the default seed and population, so the same initial population
+        # as the default run; two generations keep 255 reference runs short
+        params = DeParams(max_generations=2)
+        fired = 0
+        for k in range(1, 9):
+            for subset in itertools.combinations(range(8), k):
+                vals = D2_VALUES[list(subset), :]
+                fired += exit_fires(vals, params)
+                self.assert_same_as_full_loop(vals, params)
+        # it fires for all 247 subsets with K >= 2 and none of the 8 at K = 1
+        assert fired == 247
+
+    @pytest.mark.parametrize("subset", [(0,), (0, 5), (1, 2, 6), tuple(range(8))])
+    def test_default_params_match_the_full_loop(self, subset):
+        self.assert_same_as_full_loop(D2_VALUES[list(subset), :], DeParams())
+
+    def test_seeded_pools_match_the_full_loop(self):
+        rng = np.random.default_rng(2024)
+        fired = 0
+        for case in range(60):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, 5))
+            kind = case % 4
+            if kind == 0:
+                vals = rng.random((n, m))
+            elif kind == 1:
+                vals = np.clip(0.7 + 0.3 * rng.random((n, m)), 0.0, 1.0)
+            elif kind == 2:
+                # one strong row among weak ones: a simplex point can win
+                vals = 0.05 * rng.random((n, m))
+                vals[int(rng.integers(n))] = 1.0
+            else:
+                vals = np.round(rng.uniform(0.5, 1.0, size=(n, m)), 1)
+            params = DeParams(
+                population_size=int(rng.integers(4, 25)),
+                max_generations=int(rng.integers(0, 12)),
+                differential_weight=float(rng.uniform(0.1, 2.0)),
+                crossover_rate=float(rng.uniform(0.0, 1.0)),
+                rng_seed=int(rng.integers(2**31)),
+            )
+            fired += exit_fires(vals, params)
+            self.assert_same_as_full_loop(vals, params)
+        assert 10 <= fired <= 50
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 64), flat=st.booleans())
+    def test_projected_trial_stays_below_the_ceiling(self, data, n, flat):
+        vec = np.array(data.draw(st.lists(st.floats(-2.0, 3.0), min_size=n, max_size=n)))
+        if flat:
+            # equal entries score sum(trial) * c, which shows the rounding
+            coef = np.full(n, data.draw(st.floats(0.0, 1.0)))
+        else:
+            coef = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        assert _project_simplex(vec) @ coef <= _trial_ceiling(coef)
+
+    def test_ceiling_covers_rounding_above_the_best_row(self):
+        rng = np.random.default_rng(8)
+        above = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 65))
+            vec = rng.uniform(-2.0, 3.0, n)
+            coef = np.full(n, rng.random()) if rng.random() < 0.5 else rng.random(n)
+            fitness = _project_simplex(vec) @ coef
+            assert fitness <= _trial_ceiling(coef)
+            above += fitness > coef.max()
+        # rounding does lift trials above max(coef), so the margin is needed
+        assert above > 0
+
+    def test_no_projection_on_d2_subsets(self, d2_matrix, monkeypatch):
+        calls = []
+
+        def counted(vec):
+            calls.append(1)
+            return _project_simplex(vec)
+
+        monkeypatch.setattr(baselines, "_project_simplex", counted)
+        for k in range(2, 9):
+            baseline_with_selection("de", d2_matrix, k)
+        assert len(calls) == 0
+        de_weights(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        assert len(calls) > 0

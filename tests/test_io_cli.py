@@ -9,7 +9,9 @@ import pytest
 
 from voteopt import io
 from voteopt.cli import main
-from voteopt.core import PredictionSet, SelectionVector, WeightMatrix
+from voteopt.core import (
+    ClassifierSet, ClassSet, PredictionSet, SelectionVector, WeightMatrix,
+)
 
 DATA = Path(__file__).parent / "data"
 D2_CSV = str(DATA / "d2_accuracy.csv")
@@ -130,6 +132,85 @@ class TestPredictionsIo:
         )
         with pytest.raises(ValueError, match="zzz"):
             io.read_predictions(p)
+
+    def test_hard_round_trip_with_padded_cells(self, tmp_path):
+        p = tmp_path / "hard.csv"
+        p.write_text(
+            "instance_id,true_class,c0,c1,c2\n"
+            "i0, x, x,y ,z\n"
+            " i1,z ,  z, z,x\n"
+            "i2,y,y,x, y\n"
+        )
+        preds = io.read_predictions(p)
+        assert preds.instance_ids == ("i0", "i1", "i2")
+        assert preds.classes.names == ("x", "y", "z")
+        assert preds.true_classes.tolist() == [0, 2, 1]
+        assert preds.scores.argmax(axis=2).tolist() == [[0, 1, 2], [2, 2, 0], [1, 0, 1]]
+        assert np.array_equal(preds.scores.sum(axis=2), np.ones((3, 3)))
+        out = tmp_path / "soft.csv"
+        io.write_predictions(out, preds)
+        again = io.read_predictions(out, preds.classifiers, preds.classes)
+        assert again.scores.tobytes() == preds.scores.tobytes()
+        assert again.true_classes.tobytes() == preds.true_classes.tobytes()
+        assert again.instance_ids == preds.instance_ids
+
+    def read_error(self, tmp_path, text, **sets):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            io.read_predictions(p, **sets)
+        return str(err.value).replace(str(p), "path")
+
+    def test_non_numeric_soft_cell_names_line_and_column(self, tmp_path):
+        text = (
+            "instance_id,true_class,c0:x,c0:y\n"
+            "i0,x,0.5,0.5\n"
+            "i1,y,0.25,abc\n"
+        )
+        assert self.read_error(tmp_path, text) == (
+            "path:3: column 'c0:y': not a number: 'abc'"
+        )
+
+    def test_unknown_hard_vote_names_line_and_column(self, tmp_path):
+        text = (
+            "instance_id,true_class,c0,c1\n"
+            "i0,x,x,y\n"
+            "i1,y,y, q\n"
+        )
+        sets = dict(classifiers=ClassifierSet(("c0", "c1")), classes=ClassSet(("x", "y")))
+        assert self.read_error(tmp_path, text, **sets) == (
+            "path:3: column 'c1': unknown class 'q'"
+        )
+
+    def test_unknown_true_class_on_a_later_line(self, tmp_path):
+        text = (
+            "instance_id,true_class,c0:x,c0:y\n"
+            "i0,x,0.5,0.5\n"
+            "i1,y,0.1,0.9\n"
+            "i2,w ,0.1,0.9\n"
+        )
+        assert self.read_error(tmp_path, text) == "path:4: unknown true class 'w'"
+
+    def test_first_bad_cell_in_row_major_order_is_reported(self, tmp_path):
+        head = "instance_id,true_class,c0:x,c0:y\ni0,x,0.5,0.5\n"
+        # a bad score cell before a bad true class on a later line
+        text = head + "i1,y,1,oops\ni2,zz,0.5,0.5\n"
+        assert self.read_error(tmp_path, text) == (
+            "path:3: column 'c0:y': not a number: 'oops'"
+        )
+        # the true class is checked before the same row's score cells
+        text = head + "i1,zz,bad,0.5\ni2,y,worse,0.5\n"
+        assert self.read_error(tmp_path, text) == "path:3: unknown true class 'zz'"
+        # two unknown votes in one row: the first column is reported
+        text = "instance_id,true_class,c0,c1\ni0,x,x,y\ni1,y,q,r\n"
+        sets = dict(classifiers=ClassifierSet(("c0", "c1")), classes=ClassSet(("x", "y")))
+        assert self.read_error(tmp_path, text, **sets) == (
+            "path:3: column 'c0': unknown class 'q'"
+        )
+
+    def test_header_only_file_has_no_instances(self, tmp_path):
+        text = "instance_id,true_class,c0:x,c0:y\n"
+        assert self.read_error(tmp_path, text) == "path: no instances"
 
     def test_misordered_score_columns_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

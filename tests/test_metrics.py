@@ -147,6 +147,42 @@ class TestBinaryAuprc:
                 positive[0] = True
             assert 0.0 <= binary_auprc(scores, positive) <= 1.0
 
+    @staticmethod
+    def stable_auprc(scores, positive):
+        # binary_auprc with a stable sort: the reference that the default
+        # sort must match bit for bit
+        order = np.argsort(-scores, kind="stable")
+        sorted_scores = scores[order]
+        sorted_pos = positive[order].astype(np.int64)
+        boundaries = np.flatnonzero(np.diff(sorted_scores) != 0.0)
+        ends = np.append(boundaries, scores.size - 1)
+        tp = np.cumsum(sorted_pos)[ends]
+        recall = tp / int(positive.sum())
+        precision = tp / (ends + 1)
+        r = np.concatenate(([0.0], recall))
+        p = np.concatenate(([precision[0]], precision))
+        return float(np.sum(np.diff(r) * (p[:-1] + p[1:]) / 2.0))
+
+    def test_unstable_sort_matches_stable_reference(self):
+        rng = np.random.default_rng(11)
+        size = 20_000
+        signed_zeros = rng.choice([-0.0, 0.0, 0.5, 1.0], size=size)
+        kinds = {
+            "grid": np.floor(rng.random(size) * 2**16) / 2**16,
+            "constant": np.full(size, 0.25),
+            "nine_level": rng.integers(0, 9, size=size) / 8.0,
+            "continuous": rng.random(size),
+            "signed_zeros": signed_zeros,
+        }
+        assert np.signbit(signed_zeros).any() and (signed_zeros == 0.0).sum() > size // 3
+        for name, scores in kinds.items():
+            for rate in (0.002, 0.1, 0.6):
+                positive = rng.random(size) < rate
+                positive[int(rng.integers(size))] = True
+                got = binary_auprc(scores, positive)
+                want = self.stable_auprc(scores, positive)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             binary_auprc(np.array([0.1, 0.2]), np.array([False, False]))
