@@ -10,7 +10,7 @@ from .core import ClassSet, PredictionSet, WeightMatrix
 from .metrics import (
     ConfusionMatrix,
     MetricsReport,
-    auprc_per_class,
+    _auprc_columns,
     balanced_accuracy,
     ensemble_scores,
     per_class_prf,
@@ -51,9 +51,13 @@ def predict_batch(
     weights: WeightMatrix, preds: PredictionSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``predict`` over a prediction set -> (class indices, tie flags)."""
-    combined = ensemble_scores(preds, weights)
+    return _votes(ensemble_scores(preds, weights))
+
+
+def _votes(combined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax class and exact-tie flag of each row of an (N, m) score matrix."""
     predicted = combined.argmax(axis=1)
-    ties = (combined == combined[np.arange(len(preds)), predicted][:, None]).sum(
+    ties = (combined == combined[np.arange(len(combined)), predicted][:, None]).sum(
         axis=1
     ) > 1
     return predicted, ties
@@ -76,7 +80,8 @@ def evaluate(
     classes = classes or preds.classes
     if classes.names != preds.classes.names:
         raise ValueError("class set does not match the prediction set")
-    predicted, ties = predict_batch(weights, preds)
+    combined = ensemble_scores(preds, weights)
+    predicted, ties = _votes(combined)
     cm = ConfusionMatrix.from_predictions(
         preds.true_classes, predicted, classes.m, classes.names
     )
@@ -84,7 +89,7 @@ def evaluate(
     prf = per_class_prf(cm)
 
     if include_auprc:
-        auprc_values, skipped = auprc_per_class(preds, weights)
+        auprc_values, skipped = _auprc_columns(combined, preds)
         macro_auprc_value = float(np.nanmean(auprc_values))
     else:
         auprc_values = np.full(classes.m, np.nan)

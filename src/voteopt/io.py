@@ -13,6 +13,7 @@ import json
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -180,7 +181,10 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
     `<classifier>:<class>`. Hard format: `instance_id,true_class` then one
     column per classifier holding its predicted class label, expanded to
     one-hot scores. When classifier/class sets are supplied the file is
-    validated against them.
+    validated against them. Without a class set, the hard layout takes its
+    classes from the union of all label cells (true classes and votes), so
+    a mistyped vote is read as one more class rather than rejected; pass
+    ``classes`` to reject it.
     """
     rows = _read_rows(path)
     header = [h.strip() for h in rows[0]]
@@ -253,6 +257,9 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
 
 
 def write_predictions(path, preds: PredictionSet) -> None:
+    cells = preds.classifiers.n * preds.classes.m
+    flat = preds.scores.reshape(len(preds), cells)
+    row_format = ",".join(["%.17g"] * cells)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
@@ -260,12 +267,18 @@ def write_predictions(path, preds: PredictionSet) -> None:
             *(f"{clf}:{cls}" for clf in preds.classifiers.names
               for cls in preds.classes.names),
         ])
-        for t, iid in enumerate(preds.instance_ids):
-            writer.writerow([
-                iid,
-                preds.classes.names[preds.true_classes[t]],
-                *(_fmt(x) for x in preds.scores[t].reshape(-1)),
-            ])
+        # csv quotes the id and class cells, writing each row with one
+        # write(); the "%.17g" score cells never need quoting
+        labels = []
+        csv.writer(SimpleNamespace(write=labels.append)).writerows(zip(
+            preds.instance_ids,
+            (preds.classes.names[t] for t in preds.true_classes.tolist()),
+        ))
+        end = writer.dialect.lineterminator
+        fh.writelines(
+            f"{label[:-len(end)]},{row_format % tuple(row.tolist())}{end}"
+            for label, row in zip(labels, flat)
+        )
 
 
 def read_labels(path) -> np.ndarray:

@@ -39,10 +39,21 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, true_idx, pred_idx, m: int, class_names=()):
+        """Count (true, predicted) class-index pairs; indices must lie in [0, m)."""
         true_idx = np.asarray(true_idx, dtype=np.int64)
         pred_idx = np.asarray(pred_idx, dtype=np.int64)
-        counts = np.zeros((m, m), dtype=np.int64)
-        np.add.at(counts, (true_idx, pred_idx), 1)
+        if true_idx.shape != pred_idx.shape:
+            raise ValueError(
+                f"{true_idx.size} true class indices but {pred_idx.size} predictions"
+            )
+        for kind, idx in (("true", true_idx), ("predicted", pred_idx)):
+            bad = (idx < 0) | (idx >= m)
+            if bad.any():
+                raise ValueError(
+                    f"{kind} class index {idx[bad][0]} outside [0, {m})"
+                )
+        pairs = (true_idx * m + pred_idx).ravel()
+        counts = np.bincount(pairs, minlength=m * m).reshape(m, m)
         return cls(counts, class_names)
 
     @property
@@ -113,22 +124,24 @@ def binary_auprc(scores: np.ndarray, positive: np.ndarray) -> float:
     Thresholds sweep the distinct scores from high to low (ties share a
     threshold); the curve is anchored at recall 0 with the precision of the
     top-scored group and integrated trapezoidally over recall. A constant
-    score vector therefore yields the positive prevalence.
+    score vector therefore yields the positive prevalence. Infinite scores
+    are ordinary thresholds; a NaN score is rejected.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
     p_total = int(positive.sum())
     if p_total == 0:
         raise ValueError("binary_auprc requires at least one positive instance")
-    # any sort will do: a tie group is read only at its last index
-    order = np.argsort(-scores)
-    sorted_scores = scores[order]
-    sorted_pos = positive[order].astype(np.int64)
-    # last index of each tied-score group
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0.0)
-    ends = np.append(boundaries, scores.size - 1)
-    tp = np.cumsum(sorted_pos)[ends]
-    predicted = ends + 1
+    ascending = np.sort(scores)
+    if np.isnan(ascending[-1]):  # the sort puts NaN last
+        raise ValueError("binary_auprc: scores contain NaN")
+    # first index of each distinct score, and the positives holding each one
+    first = np.flatnonzero(np.concatenate(([True], ascending[1:] != ascending[:-1])))
+    groups = np.searchsorted(ascending[first], np.sort(scores[positive]))
+    hits = np.bincount(groups, minlength=first.size)
+    # from the highest score down: positives and instances at or above it
+    tp = np.cumsum(hits[::-1])
+    predicted = scores.size - first[::-1]
     recall = tp / p_total
     precision = tp / predicted
     r = np.concatenate(([0.0], recall))
@@ -153,7 +166,13 @@ def auprc_per_class(
 
     Returns (values with NaN for skipped classes, skipped class names).
     """
-    scores = ensemble_scores(preds, weights)
+    return _auprc_columns(ensemble_scores(preds, weights), preds)
+
+
+def _auprc_columns(
+    scores: np.ndarray, preds: PredictionSet
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``auprc_per_class`` on an (N, m) ensemble score matrix already computed."""
     m = preds.classes.m
     values = np.full(m, np.nan)
     skipped = []

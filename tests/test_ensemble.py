@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,13 @@ from voteopt import (
     predict,
 )
 from voteopt.ensemble import predict_batch
+from voteopt.metrics import (
+    ConfusionMatrix,
+    MetricsReport,
+    auprc_per_class,
+    balanced_accuracy,
+    per_class_prf,
+)
 
 
 def make_predictions(scores, truth, n, m):
@@ -150,3 +159,145 @@ class TestEvaluate:
         preds = make_predictions(np.zeros((0, 1, 2)), [], 1, 2)
         with pytest.raises(ValueError, match="empty"):
             evaluate(WeightMatrix([[1.0, 1.0]]), preds)
+
+
+def argsort_auprc(scores, positive):
+    """binary_auprc by a descending argsort and gathers, read at group ends."""
+    order = np.argsort(-scores)
+    sorted_scores = scores[order]
+    sorted_pos = positive[order].astype(np.int64)
+    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0.0)
+    ends = np.append(boundaries, scores.size - 1)
+    tp = np.cumsum(sorted_pos)[ends]
+    recall = tp / int(positive.sum())
+    precision = tp / (ends + 1)
+    r = np.concatenate(([0.0], recall))
+    p = np.concatenate(([precision[0]], precision))
+    return float(np.sum(np.diff(r) * (p[:-1] + p[1:]) / 2.0))
+
+
+def reference_auprc(preds, weights):
+    scores = np.einsum("tij,ij->tj", preds.scores, weights.w)
+    values = np.full(preds.classes.m, np.nan)
+    skipped = []
+    for j, name in enumerate(preds.classes.names):
+        pos = preds.true_classes == j
+        if not pos.any():
+            skipped.append(name)
+            continue
+        values[j] = argsort_auprc(scores[:, j], pos)
+    if skipped:
+        warnings.warn(f"classes absent from the truth skipped in AUPRC: {skipped}")
+    return values, tuple(skipped)
+
+
+def reference_evaluate(weights, preds, include_auprc=True):
+    """evaluate as a separate pipeline: the ensemble score computed for the
+    vote and again for AUPRC, AUPRC by argsort, the confusion by np.add.at."""
+    names, m = preds.classes.names, preds.classes.m
+    combined = np.einsum("tij,ij->tj", preds.scores, weights.w)
+    predicted = combined.argmax(axis=1)
+    ties = (combined == combined[np.arange(len(preds)), predicted][:, None]).sum(
+        axis=1
+    ) > 1
+    counts = np.zeros((m, m), dtype=np.int64)
+    np.add.at(counts, (preds.true_classes, predicted), 1)
+    cm = ConfusionMatrix(counts, names)
+    bal_acc = balanced_accuracy(cm)
+    prf = per_class_prf(cm)
+    if include_auprc:
+        values, skipped = reference_auprc(preds, weights)
+        macro = float(np.nanmean(values))
+    else:
+        values, skipped, macro = np.full(m, np.nan), (), None
+    support = counts.sum(axis=1)
+    per_class = {}
+    for j, name in enumerate(names):
+        entry = {
+            "precision": float(prf.precision[j]),
+            "recall": float(prf.recall[j]),
+            "f1": float(prf.f1[j]),
+            "support": int(support[j]),
+        }
+        if include_auprc and not np.isnan(values[j]):
+            entry["auprc"] = float(values[j])
+        per_class[name] = entry
+    return MetricsReport(
+        balanced_accuracy=bal_acc,
+        macro_precision=float(prf.precision.mean()),
+        macro_recall=float(prf.recall.mean()),
+        macro_f1=float(prf.f1.mean()),
+        macro_auprc=macro,
+        per_class=per_class,
+        zero_precision_classes=prf.zero_precision_classes,
+        skipped_auprc_classes=skipped,
+        tie_count=int(ties.sum()),
+    )
+
+
+def float_bytes(value):
+    """Every float of a nested report as its bytes, in a fixed order."""
+    if isinstance(value, dict):
+        return [(k, float_bytes(v)) for k, v in sorted(value.items())]
+    if isinstance(value, (list, tuple)):
+        return [float_bytes(v) for v in value]
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+def oracle_sets():
+    """Seeded 20k x 8 x 7 prediction sets, each with three weight matrices."""
+    rng = np.random.default_rng(31)
+    size, n, m = 20_000, 8, 7
+    truth = rng.integers(0, m, size=size)
+    truth[:m] = np.arange(m)
+    grid = np.floor(rng.random((size, n, m)) * 2**16) / 2**16
+    continuous = rng.random((size, n, m))
+    hard = np.zeros((size, n, m))
+    votes = np.where(rng.random((size, n)) < 0.35, truth[:, None],
+                     rng.integers(0, m, size=(size, n)))
+    np.put_along_axis(hard, votes[:, :, None], 1.0, axis=2)
+    weights = [
+        np.ones((n, m)),
+        rng.random((n, m)),
+        np.floor(rng.random((n, m)) * 4) / 4,  # zero rows and repeated weights
+    ]
+    for name, scores in (("grid", grid), ("continuous", continuous), ("hard", hard)):
+        yield pytest.param(make_predictions(scores, truth, n, m), weights, id=name)
+
+
+class TestEvaluateOracle:
+    @pytest.mark.parametrize("preds, weights", list(oracle_sets()))
+    def test_bit_identical_to_reference(self, request, preds, weights):
+        name = request.node.callspec.id
+        ties = []
+        for w in map(WeightMatrix, weights):
+            for include_auprc in (True, False):
+                got = evaluate(w, preds, include_auprc=include_auprc).as_dict()
+                want = reference_evaluate(w, preds, include_auprc).as_dict()
+                assert got == want, name
+                assert float_bytes(got) == float_bytes(want), name
+            ties.append(got["tie_count"])
+        if name == "hard":
+            assert max(ties) > 2000, ties  # heavy ties under equal weights
+
+    def test_absent_class(self):
+        rng = np.random.default_rng(32)
+        size, n, m = 20_000, 8, 7
+        truth = rng.integers(0, m - 1, size=size)
+        preds = make_predictions(rng.random((size, n, m)), truth, n, m)
+        w = WeightMatrix(rng.random((n, m)))
+        with pytest.warns(UserWarning, match="skipped"):
+            values, skipped = auprc_per_class(preds, w)
+        with pytest.warns(UserWarning, match="skipped"):
+            want_values, want_skipped = reference_auprc(preds, w)
+        assert skipped == want_skipped == ("e6",)
+        assert values.tobytes() == want_values.tobytes()
+        # evaluate needs every true class for recall, before any AUPRC
+        with pytest.raises(ValueError) as got:
+            evaluate(w, preds)
+        with pytest.raises(ValueError) as want:
+            reference_evaluate(w, preds)
+        assert str(got.value) == str(want.value)
+        assert "'e6' has no instances" in str(got.value)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -153,6 +154,30 @@ class TestPredictionsIo:
         assert again.scores.tobytes() == preds.scores.tobytes()
         assert again.true_classes.tobytes() == preds.true_classes.tobytes()
         assert again.instance_ids == preds.instance_ids
+
+    def test_writer_matches_per_cell_reference(self, tmp_path):
+        # one "%.17g" per cell through csv.writer, quoting every cell as needed
+        rng = np.random.default_rng(9)
+        ids = ("plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " pad ")
+        names = ("x,y", 'q"', "line\nbreak", "z")
+        scores = np.concatenate([
+            np.floor(rng.random((4, 2, 4)) * 2**16) / 2**16,
+            np.array([[[0.0, -0.0, 5e-324, 1e300], [1 / 3, 1e16, 0.1, 1e-5]]]),
+            rng.random((2, 2, 4)),
+        ])
+        preds = PredictionSet(ids, np.array([0, 1, 2, 3, 0, 2, 1]), scores,
+                              ClassifierSet(("c:0", "c1")), ClassSet(names))
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["instance_id", "true_class",
+                             *(f"{c}:{k}" for c in ("c:0", "c1") for k in names)])
+            for t, iid in enumerate(ids):
+                writer.writerow([iid, names[preds.true_classes[t]],
+                                 *(format(float(x), ".17g") for x in scores[t].ravel())])
+        got = tmp_path / "got.csv"
+        io.write_predictions(got, preds)
+        assert got.read_bytes() == want.read_bytes()
 
     def read_error(self, tmp_path, text, **sets):
         p = tmp_path / "bad.csv"

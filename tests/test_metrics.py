@@ -78,6 +78,42 @@ class TestBalancedAccuracy:
             assert balanced_accuracy(cm) == pytest.approx(recall, abs=1e-15)
 
 
+class TestConfusionFromPredictions:
+    @staticmethod
+    def add_at_counts(true, pred, m):
+        # the np.add.at construction the bincount one replaced
+        counts = np.zeros((m, m), dtype=np.int64)
+        np.add.at(counts, (np.asarray(true), np.asarray(pred)), 1)
+        return counts
+
+    def test_matches_add_at_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            m = int(rng.integers(1, 9))
+            size = int(rng.integers(0, 500))
+            true = rng.integers(0, m, size=size)
+            pred = rng.integers(0, m, size=size)
+            cm = ConfusionMatrix.from_predictions(true, pred, m)
+            assert cm.counts.dtype == np.int64
+            assert np.array_equal(cm.counts, self.add_at_counts(true, pred, m))
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="true class index -1 outside"):
+            ConfusionMatrix.from_predictions([-1, 0], [0, -2], 3)
+        with pytest.raises(ValueError, match="predicted class index -2 outside"):
+            ConfusionMatrix.from_predictions([1, 0], [0, -2], 3)
+
+    def test_too_large_index_rejected(self):
+        with pytest.raises(ValueError, match=r"predicted class index 3 outside \[0, 3\)"):
+            ConfusionMatrix.from_predictions([0, 1, 2], [0, 3, 1], 3)
+        with pytest.raises(ValueError, match="true class index 5 outside"):
+            ConfusionMatrix.from_predictions([5], [0], 3)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3 true class indices but 2 predictions"):
+            ConfusionMatrix.from_predictions([0, 1, 1], [0, 1], 2)
+
+
 class TestMacroPrf:
     def test_perfect_diagonal(self):
         cm = ConfusionMatrix(np.diag([4, 1, 7]))
@@ -175,6 +211,10 @@ class TestBinaryAuprc:
             "signed_zeros": signed_zeros,
         }
         assert np.signbit(signed_zeros).any() and (signed_zeros == 0.0).sum() > size // 3
+        signed = np.random.default_rng(12)
+        kinds["negative"] = -np.floor(signed.random(size) * 2**10) / 2**10
+        kinds["mixed_sign"] = signed.choice([-1.5, -0.25, -0.0, 0.0, 0.25], size=size) \
+            * signed.integers(1, 4, size=size)
         for name, scores in kinds.items():
             for rate in (0.002, 0.1, 0.6):
                 positive = rng.random(size) < rate
@@ -182,6 +222,24 @@ class TestBinaryAuprc:
                 got = binary_auprc(scores, positive)
                 want = self.stable_auprc(scores, positive)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+
+    def test_nan_score_rejected(self):
+        positive = np.array([True, False, True, False])
+        with pytest.raises(ValueError, match="NaN"):
+            binary_auprc(np.array([np.nan, 0.2, 0.1, np.nan]), positive)
+        with pytest.raises(ValueError, match="NaN"):
+            binary_auprc(np.array([0.3, 0.2, 0.1, np.nan]), positive)
+
+    def test_infinite_scores_are_thresholds(self):
+        positive = np.array([True, False, True, False, True])
+        scores = np.array([np.inf, -np.inf, np.inf, 0.5, -np.inf])
+        got = binary_auprc(scores, positive)
+        # tied infinities form one threshold each, as finite ties do
+        finite = np.where(np.isinf(scores), np.sign(scores) * 1e300, scores)
+        assert got == binary_auprc(finite, positive)
+        # the two +inf positives first (precision 1 to recall 2/3), then
+        # 0.5 (2/3 at 2/3), then everything (3/5 at 1)
+        assert got == pytest.approx(2 / 3 + (1 / 3) * (2 / 3 + 3 / 5) / 2)
 
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError, match="positive"):
