@@ -140,9 +140,19 @@ def de_weights(
     replace it and DE returns that vector normalized (on D2 this is why SVM
     gets about 0.12, not 0); every trial then scores below the best
     (``_trial_ceiling``), so no generation needs to run.
+
+    With one classifier and no trace asked for, DE returns 1.0 per class
+    without drawing. The loop returns ``best / best.sum()`` for a 1-vector
+    ``best``: that is exactly 1.0 when ``best > 0`` (IEEE x / x is exactly
+    1), and ``1 / n`` = 1.0 otherwise, whatever the draws. The trace does
+    depend on them: a trial is ``fl(x - fl(x - 1))``, which for some
+    negative mutants ``x`` is 1 - 2^-53, 1 - 2^-52 or 1 + 2^-52, so with a
+    trace the loop runs.
     """
     vals = _values(v)
     n = vals.shape[0]
+    if n == 1 and fitness_trace is None:
+        return WeightMatrix(np.ones_like(vals))
     coef = vals.mean(axis=1)
     rng = np.random.default_rng(params.rng_seed)
     pop = params.population_size

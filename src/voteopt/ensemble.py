@@ -10,8 +10,8 @@ from .core import ClassSet, PredictionSet, WeightMatrix
 from .metrics import (
     ConfusionMatrix,
     MetricsReport,
-    _auprc_columns,
     balanced_accuracy,
+    binary_auprc,
     ensemble_scores,
     per_class_prf,
 )
@@ -74,6 +74,10 @@ def evaluate(
     Builds the confusion matrix from argmax votes and reports balanced
     accuracy, the macro precision/recall/F1 family and (optionally) the
     one-vs-rest macro AUPRC, with per-class breakdowns.
+
+    Every class must appear in the truth: recall, and so balanced accuracy,
+    is undefined for an absent class and raises. No class is skipped in
+    AUPRC, and ``skipped_auprc_classes`` stays empty.
     """
     if len(preds) == 0:
         raise ValueError("prediction set is empty")
@@ -89,11 +93,10 @@ def evaluate(
     prf = per_class_prf(cm)
 
     if include_auprc:
-        auprc_values, skipped = _auprc_columns(combined, preds)
-        macro_auprc_value = float(np.nanmean(auprc_values))
+        auprc_values = [binary_auprc(combined[:, j], preds.true_classes == j)
+                        for j in range(classes.m)]
+        macro_auprc_value = float(np.mean(auprc_values))
     else:
-        auprc_values = np.full(classes.m, np.nan)
-        skipped = ()
         macro_auprc_value = None
 
     support = cm.counts.sum(axis=1)
@@ -105,8 +108,8 @@ def evaluate(
             "f1": float(prf.f1[j]),
             "support": int(support[j]),
         }
-        if include_auprc and not np.isnan(auprc_values[j]):
-            entry["auprc"] = float(auprc_values[j])
+        if include_auprc:
+            entry["auprc"] = auprc_values[j]
         per_class[name] = entry
 
     return MetricsReport(
@@ -117,6 +120,5 @@ def evaluate(
         macro_auprc=macro_auprc_value,
         per_class=per_class,
         zero_precision_classes=prf.zero_precision_classes,
-        skipped_auprc_classes=skipped,
         tie_count=int(ties.sum()),
     )

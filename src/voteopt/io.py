@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, compress, count, cycle, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,18 +32,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh)]
-    if not rows:
+def _records(fh, path):
+    """The csv records of an open file, each checked against the header's width."""
+    records = csv.reader(fh)
+    header = next(records, None)
+    if header is None:
         raise ValueError(f"{path}: empty file")
-    width = len(rows[0])
-    for ln, row in enumerate(rows, start=1):
+    yield header
+    width = len(header)
+    for ln, row in enumerate(records, start=2):
         if len(row) != width:
             raise ValueError(
                 f"{path}:{ln}: expected {width} columns, found {len(row)}"
             )
-    return rows
+        yield row
+
+
+def _read_rows(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(_records(fh, path))
 
 
 def _parse_float(cell: str, path, ln: int, col: str) -> float:
@@ -174,6 +182,144 @@ def _soft_header_layout(columns, path):
     return classifiers, classes
 
 
+# records of a prediction table converted at a time: the reader holds the
+# cells of one block as strings, and the arrays read so far
+_BLOCK_ROWS = 4096
+
+
+class _LabelCodes(dict):
+    """Class code of each raw label cell, stripped and looked up once.
+
+    An unknown label codes to -1, or with ``grow`` to the next free code, so
+    codes then follow the order in which labels first appear.
+    """
+
+    def __init__(self, index: dict[str, int], grow: bool):
+        super().__init__()
+        self.index = index
+        self.grow = grow
+
+    def __missing__(self, cell: str) -> int:
+        name = cell.strip()
+        code = self.index.get(name, -1)
+        if code < 0 and self.grow:
+            code = self.index[name] = len(self.index)
+        self[cell] = code
+        return code
+
+
+class _PredictionTable:
+    """The layout of a predictions table and the arrays read from its body.
+
+    The constructor makes the header checks; ``add`` converts one block of
+    records, given as their cells in row-major order; ``finish`` makes the
+    checks that need the whole body, then builds the PredictionSet.
+    """
+
+    def __init__(self, path, header, classifiers, classes):
+        if len(header) < 3 or header[0] != "instance_id" or header[1] != "true_class":
+            raise ValueError(
+                f"{path}: header must start with instance_id,true_class"
+            )
+        self.soft = any(":" in col for col in header[2:])
+        if self.soft:
+            clf_names, cls_names = _soft_header_layout(header[2:], path)
+        else:
+            clf_names = tuple(header[2:])
+            cls_names = None if classes is None else classes.names
+        if classifiers is not None and tuple(classifiers.names) != clf_names:
+            raise ValueError(
+                f"{path}: classifiers {clf_names} do not match expected "
+                f"{classifiers.names}"
+            )
+        if classes is not None and tuple(classes.names) != tuple(cls_names):
+            raise ValueError(
+                f"{path}: classes {cls_names} do not match expected {classes.names}"
+            )
+        self.classifiers = classifiers or ClassifierSet(clf_names)
+        # a hard table read without a class set takes its classes from the
+        # union of its label cells, known after the last record
+        self.classes = classes or (ClassSet(cls_names) if self.soft else None)
+        names = self.classes.names if self.classes else ()
+        self.codes = _LabelCodes({name: j for j, name in enumerate(names)},
+                                 grow=self.classes is None)
+        self.path, self.header, self.width = path, header, len(header)
+        # the label cells of a record: its true class, then in the hard
+        # layout its votes; the soft layout's other cells are scores
+        self.label_columns = (False, True, *[not self.soft] * (self.width - 2))
+        self.score_columns = (False, False, *[self.soft] * (self.width - 2))
+        self.rows = 0
+        self.ids, self.code_blocks, self.score_blocks = [], [], []
+        self.bad_block = None
+
+    def add(self, cells: list[str], first_line: int) -> None:
+        """Convert one block of records, the first of them on ``first_line``."""
+        rows = len(cells) // self.width
+        self.rows += rows
+        if self.bad_block is not None:
+            return
+        labels = compress(cells, cycle(self.label_columns))
+        codes = np.fromiter(map(self.codes.__getitem__, labels), np.int64,
+                            rows * sum(self.label_columns)).reshape(rows, -1)
+        try:
+            if codes.min() < 0:
+                raise ValueError("unknown class label")
+            if self.soft:
+                scores = compress(cells, cycle(self.score_columns))
+                self.score_blocks.append(np.fromiter(
+                    map(float, scores), np.float64, rows * (self.width - 2)))
+        except ValueError:
+            # the first bad cell is named after the last record, so that a
+            # ragged record later in the file is reported first
+            self.bad_block = (cells, first_line)
+            return
+        self.code_blocks.append(codes)
+        self.ids += map(str.strip, cells[::self.width])
+
+    def _raise_first_bad_cell(self, cells: list[str], first_line: int) -> None:
+        # each record's true class, then its cells
+        index, header, path = self.codes.index, self.header, self.path
+        for r in range(len(cells) // self.width):
+            row = cells[r * self.width:(r + 1) * self.width]
+            ln = first_line + r
+            true_label = row[1].strip()
+            if true_label not in index:
+                raise ValueError(f"{path}:{ln}: unknown true class {true_label!r}")
+            for col, cell in zip(header[2:], row[2:]):
+                if self.soft:
+                    _parse_float(cell, path, ln, col)
+                elif cell.strip() not in index:
+                    raise ValueError(
+                        f"{path}:{ln}: column {col!r}: unknown class {cell.strip()!r}"
+                    )
+
+    def finish(self) -> PredictionSet:
+        remap = None
+        if self.classes is None:
+            names = tuple(sorted(self.codes.index))
+            self.classes = ClassSet(names)
+            # provisional codes, in order of first appearance, to sorted ones
+            rank = {name: j for j, name in enumerate(names)}
+            remap = np.array([rank[name] for name in self.codes.index], np.int64)
+        if not self.rows:
+            raise ValueError(f"{self.path}: no instances")
+        if self.bad_block is not None:
+            self._raise_first_bad_cell(*self.bad_block)
+        codes = np.concatenate(self.code_blocks)
+        if remap is not None:
+            codes = remap[codes]
+        n, m = self.classifiers.n, self.classes.m
+        if self.soft:
+            scores = np.concatenate(self.score_blocks).reshape(-1, n, m)
+            self.score_blocks.clear()  # PredictionSet makes its own copy
+        else:
+            scores = np.zeros((self.rows, n, m))
+            np.put_along_axis(scores, codes[:, 1:, None], 1.0, axis=2)
+        return PredictionSet(
+            tuple(self.ids), codes[:, 0], scores, self.classifiers, self.classes,
+        )
+
+
 def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
     """Parse a predictions table.
 
@@ -185,75 +331,28 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
     classes from the union of all label cells (true classes and votes), so
     a mistyped vote is read as one more class rather than rejected; pass
     ``classes`` to reject it.
+
+    The file is read in one pass, converting ``_BLOCK_ROWS`` records at a
+    time, so memory is the arrays read plus one block of cells. Errors
+    come in file order within each kind: a record of the wrong width is
+    raised when it is met; after the last record come the header and set
+    checks, "no instances", then the first bad cell.
     """
-    rows = _read_rows(path)
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 3 or header[0] != "instance_id" or header[1] != "true_class":
-        raise ValueError(
-            f"{path}: header must start with instance_id,true_class"
-        )
-    soft = any(":" in col for col in header[2:])
-    body = rows[1:]
-    # the true-class column, then in the hard layout one vote column per
-    # classifier; each distinct raw label cell is stripped and looked up once
-    labels = [[row[1] for row in body]] if soft else list(zip(*body))[1:]
-    lookup = dict.fromkeys(set().union(*labels))
-    if soft:
-        clf_names, cls_names = _soft_header_layout(header[2:], path)
-    else:
-        clf_names = tuple(header[2:])
-        if classes is None:
-            cls_names = tuple(sorted({cell.strip() for cell in lookup}))
-        else:
-            cls_names = classes.names
-
-    if classifiers is not None and tuple(classifiers.names) != clf_names:
-        raise ValueError(
-            f"{path}: classifiers {clf_names} do not match expected "
-            f"{classifiers.names}"
-        )
-    if classes is not None and tuple(classes.names) != tuple(cls_names):
-        raise ValueError(
-            f"{path}: classes {cls_names} do not match expected {classes.names}"
-        )
-    clf_set = classifiers or ClassifierSet(clf_names)
-    cls_set = classes or ClassSet(cls_names)
-    n, m = clf_set.n, cls_set.m
-    cls_index = {name: j for j, name in enumerate(cls_set.names)}
-
-    if not body:
-        raise ValueError(f"{path}: no instances")
-    for cell in lookup:
-        lookup[cell] = cls_index.get(cell.strip(), -1)
-    try:
-        codes = np.stack([np.fromiter(map(lookup.__getitem__, col), np.int64, len(body))
-                          for col in labels], axis=1)
-        if codes.min() < 0:
-            raise ValueError("unknown class label")
-        if soft:
-            cells = map(float, chain.from_iterable(row[2:] for row in body))
-            scores = np.fromiter(cells, np.float64, len(body) * n * m).reshape(-1, n, m)
-        else:
-            scores = np.zeros((len(body), n, m))
-            np.put_along_axis(scores, codes[:, 1:, None], 1.0, axis=2)
-    except ValueError:
-        # rescan in file order to name the first bad cell: each row's true
-        # class, then its cells
-        for ln, row in enumerate(body, start=2):
-            true_label = row[1].strip()
-            if true_label not in cls_index:
-                raise ValueError(f"{path}:{ln}: unknown true class {true_label!r}")
-            for col, cell in zip(header[2:], row[2:]):
-                if soft:
-                    _parse_float(cell, path, ln, col)
-                elif cell.strip() not in cls_index:
-                    raise ValueError(
-                        f"{path}:{ln}: column {col!r}: unknown class {cell.strip()!r}"
-                    )
-        raise
-    return PredictionSet(
-        tuple(row[0].strip() for row in body), codes[:, 0], scores, clf_set, cls_set,
-    )
+    with open(path, newline="") as fh:
+        records = _records(fh, path)
+        header = [h.strip() for h in next(records)]
+        try:
+            table = _PredictionTable(path, header, classifiers, classes)
+        except ValueError:
+            deque(records, maxlen=0)  # a ragged record is reported first
+            raise
+        for first_line in count(2, _BLOCK_ROWS):
+            cells = list(chain.from_iterable(islice(records, _BLOCK_ROWS)))
+            if not cells:
+                break
+            table.add(cells, first_line)
+            del cells  # freed before the next block is read
+    return table.finish()
 
 
 def write_predictions(path, preds: PredictionSet) -> None:

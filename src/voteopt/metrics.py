@@ -166,13 +166,7 @@ def auprc_per_class(
 
     Returns (values with NaN for skipped classes, skipped class names).
     """
-    return _auprc_columns(ensemble_scores(preds, weights), preds)
-
-
-def _auprc_columns(
-    scores: np.ndarray, preds: PredictionSet
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``auprc_per_class`` on an (N, m) ensemble score matrix already computed."""
+    scores = ensemble_scores(preds, weights)
     m = preds.classes.m
     values = np.full(m, np.nan)
     skipped = []

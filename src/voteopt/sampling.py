@@ -43,13 +43,15 @@ class ResamplePlan:
 
 
 def distribution_from_labels(labels) -> ClassDistribution:
-    """Count classes in first-appearance order."""
-    labels = np.asarray(labels)
-    names, first = np.unique(labels, return_index=True)
+    """Count classes in first-appearance order.
+
+    Counted by ``np.unique``, which makes all NaN labels one class.
+    """
+    names, first, counts = np.unique(
+        np.asarray(labels), return_index=True, return_counts=True
+    )
     order = np.argsort(first)
-    names = names[order]
-    counts = np.array([(labels == c).sum() for c in names], dtype=np.int64)
-    return ClassDistribution(tuple(str(c) for c in names), counts)
+    return ClassDistribution(tuple(str(c) for c in names[order]), counts[order])
 
 
 def stratified_folds(labels, k: int, seed: int = 0) -> np.ndarray:
@@ -64,12 +66,14 @@ def stratified_folds(labels, k: int, seed: int = 0) -> np.ndarray:
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     folds = np.empty(labels.shape[0], dtype=np.int64)
-    names, first = np.unique(labels, return_index=True)
-    for name in names[np.argsort(first)]:
-        idx = np.flatnonzero(labels == name)
+    # select each class by its np.unique code: all NaN labels are one class,
+    # which labels == name would never match
+    names, first, codes = np.unique(labels, return_index=True, return_inverse=True)
+    for code in np.argsort(first):
+        idx = np.flatnonzero(codes == code)
         if idx.size < k:
             warnings.warn(
-                f"class {name!r} has {idx.size} instances for {k} folds; "
+                f"class {names[code]!r} has {idx.size} instances for {k} folds; "
                 "some folds will miss it"
             )
         idx = rng.permutation(idx)
@@ -84,11 +88,11 @@ def resample(labels, plan: ResamplePlan) -> np.ndarray:
     below keep every original instance and draw the remainder with
     replacement. Classes absent from the plan are dropped.
     """
-    labels = np.asarray(labels)
+    labels = np.asarray(labels).astype(str)
     rng = np.random.default_rng(plan.rng_seed)
     chosen = []
     for name, target in plan.targets.items():
-        idx = np.flatnonzero(labels.astype(str) == name)
+        idx = np.flatnonzero(labels == name)
         if idx.size == 0:
             if target > 0:
                 raise ValueError(f"plan targets absent class {name!r}")

@@ -290,6 +290,29 @@ class TestDeEarlyExit:
             self.assert_same_as_full_loop(vals, params)
         assert 10 <= fired <= 50
 
+    def test_single_classifier_returns_without_drawing(self, monkeypatch):
+        # seeded 1 x m pools, one all-zero; the weights cannot depend on
+        # the draws, so none are made
+        rng = np.random.default_rng(77)
+        pools = [np.zeros((1, 3)), D2_VALUES[[4], :]]
+        pools += [rng.random((1, int(rng.integers(1, 6)))) for _ in range(6)]
+        for case, vals in enumerate(pools):
+            params = DeParams(
+                population_size=int(rng.integers(4, 25)),
+                max_generations=int(rng.integers(1, 40)),
+                differential_weight=float(rng.uniform(0.1, 2.0)),
+                crossover_rate=float(rng.uniform(0.0, 1.0)),
+                rng_seed=int(rng.integers(2**31)),
+            )
+            want = full_loop_de(vals, params)
+            with monkeypatch.context() as patched:
+                patched.setattr(baselines.np.random, "default_rng", None)
+                got = de_weights(vals, params).w
+            assert got.tobytes() == want.tobytes(), case
+            assert got.shape == vals.shape
+            # with a trace asked for, the loop runs
+            self.assert_same_as_full_loop(vals, params)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 64), flat=st.booleans())
     def test_projected_trial_stays_below_the_ceiling(self, data, n, flat):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from voteopt import io
-from voteopt.cli import main
+from voteopt.cli import build_parser, main
 from voteopt.core import (
     ClassifierSet, ClassSet, PredictionSet, SelectionVector, WeightMatrix,
 )
@@ -237,6 +237,93 @@ class TestPredictionsIo:
         text = "instance_id,true_class,c0:x,c0:y\n"
         assert self.read_error(tmp_path, text) == "path: no instances"
 
+    def test_ragged_row_after_a_bad_cell_is_reported(self, tmp_path):
+        rows = "".join(f"i{t},x,0.5,0.5\n" for t in range(2 * io._BLOCK_ROWS))
+        text = ("instance_id,true_class,c0:x,c0:y\ni0,x,oops,0.5\n" + rows
+                + "late,x,0.5\n")
+        assert self.read_error(tmp_path, text) == (
+            f"path:{2 * io._BLOCK_ROWS + 3}: expected 4 columns, found 3"
+        )
+
+    def test_ragged_row_after_a_bad_header_is_reported(self, tmp_path):
+        rows = "".join(f"i{t},x,y\n" for t in range(io._BLOCK_ROWS))
+        text = "id,true_class,c0\n" + rows + "i,x\n"
+        assert self.read_error(tmp_path, text) == (
+            f"path:{io._BLOCK_ROWS + 2}: expected 3 columns, found 2"
+        )
+        text = "instance_id,true_class,c0:x,c1:x,c0:y,c1:y\ni,x,1,0,0\n"
+        assert self.read_error(tmp_path, text) == "path:2: expected 6 columns, found 5"
+
+    def test_bad_cell_in_a_later_block_names_line_and_column(self, tmp_path):
+        bad = 2 * io._BLOCK_ROWS + 7
+        head = "instance_id,true_class,c0:x,c0:y,c1:x,c1:y\n"
+        rows = [f"i{t},y,0.25,0.75,0.5,0.5\n" for t in range(3 * io._BLOCK_ROWS)]
+        rows[bad - 2] = "odd,y,0.25,0.75,1e-3,nan?\n"
+        assert self.read_error(tmp_path, head + "".join(rows)) == (
+            f"path:{bad}: column 'c1:y': not a number: 'nan?'"
+        )
+        rows[bad - 2] = "odd,w,0.25,0.75,1e-3,0.5\n"
+        assert self.read_error(tmp_path, head + "".join(rows)) == (
+            f"path:{bad}: unknown true class 'w'"
+        )
+        votes = [f"i{t},y,x,y\n" for t in range(3 * io._BLOCK_ROWS)]
+        votes[bad - 2] = "odd,y,x, q \n"
+        sets = dict(classifiers=ClassifierSet(("c0", "c1")), classes=ClassSet(("x", "y")))
+        text = "instance_id,true_class,c0,c1\n" + "".join(votes)
+        assert self.read_error(tmp_path, text, **sets) == (
+            f"path:{bad}: column 'c1': unknown class 'q'"
+        )
+
+    def hard_table(self, truth, votes, names):
+        """A hard-vote table over three classifiers, with padded label cells."""
+        lines = ["instance_id,true_class,c0,c1,c2"]
+        pad = (" ", "", "  ")
+        for t, (j, row) in enumerate(zip(truth, votes)):
+            cells = [names[j], *(names[v] for v in row)]
+            lines.append(",".join([f" i{t}", *(c + pad[(t + k) % 3]
+                                              for k, c in enumerate(cells))]))
+        return "\n".join(lines) + "\n"
+
+    def test_hard_table_over_several_blocks_gets_sorted_classes(self, tmp_path):
+        rng = np.random.default_rng(12)
+        rows = 2 * io._BLOCK_ROWS + 11
+        names = ("zeta", "alpha", "mu", "beta")
+        truth, votes = rng.integers(0, 3, size=rows), rng.integers(0, 3, size=(rows, 3))
+        truth[rows - 3] = 3  # "beta" first appears in the last block
+        p = tmp_path / "hard.csv"
+        p.write_text(self.hard_table(truth, votes, names))
+        preds = io.read_predictions(p)
+        assert preds.classes.names == ("alpha", "beta", "mu", "zeta")
+        code = {name: preds.classes.names.index(name) for name in names}
+        assert preds.true_classes.tolist() == [code[names[t]] for t in truth]
+        assert preds.scores.argmax(axis=2).tolist() == [
+            [code[names[v]] for v in row] for row in votes]
+        assert preds.instance_ids == tuple(f"i{t}" for t in range(rows))
+
+    def test_round_trips_over_several_blocks_are_byte_exact(self, tmp_path):
+        rng = np.random.default_rng(13)
+        rows = 2 * io._BLOCK_ROWS + 5
+        clfs, classes = ClassifierSet(("c0", "c1")), ClassSet(("x", "y", "z"))
+        soft = PredictionSet(tuple(f"s{t}" for t in range(rows)),
+                             rng.integers(0, 3, size=rows), rng.random((rows, 2, 3)),
+                             clfs, classes)
+        path = tmp_path / "soft.csv"
+        io.write_predictions(path, soft)
+        again = io.read_predictions(path, clfs, classes)
+        assert again.instance_ids == soft.instance_ids
+        assert again.true_classes.tobytes() == soft.true_classes.tobytes()
+        assert again.scores.tobytes() == soft.scores.tobytes()
+        assert again.scores.shape == soft.scores.shape
+        truth, votes = rng.integers(0, 3, size=rows), rng.integers(0, 3, size=(rows, 3))
+        path = tmp_path / "hard.csv"
+        path.write_text(self.hard_table(truth, votes, classes.names))
+        hard = io.read_predictions(path, ClassifierSet(("c0", "c1", "c2")), classes)
+        one_hot = np.zeros((rows, 3, 3))
+        np.put_along_axis(one_hot, votes[:, :, None], 1.0, axis=2)
+        assert hard.true_classes.tobytes() == truth.astype(np.int64).tobytes()
+        assert hard.scores.tobytes() == one_hot.tobytes()
+        assert io.read_predictions(path).scores.tobytes() == one_hot.tobytes()
+
     def test_misordered_score_columns_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text(
@@ -331,6 +418,27 @@ class TestCliOptimizeValidate:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc["hyperparams"]["lam"] == 0.96
+
+    def test_reused_parser_leaks_no_state(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 0.80}))
+
+        def optimize(*extra):
+            report = tmp_path / "r.json"
+            code = main(["optimize", "--matrix", D2_CSV, "--k", "8",
+                         "--out-weights", str(tmp_path / "w.csv"),
+                         "--out-report", str(report), *extra])
+            assert code == 0
+            return json.loads(report.read_text())
+
+        first = optimize("--lam", "0.96", "--config", str(cfg), "--no-timestamp")
+        assert (first["hyperparams"]["lam"], first["hyperparams"]["alpha"]) == (0.96, 0.80)
+        assert "generated_at" not in first
+        second = optimize()
+        assert (second["hyperparams"]["lam"], second["hyperparams"]["alpha"]) == (0.95, 0.85)
+        assert "generated_at" in second
+        assert build_parser() is not build_parser()
+        assert "exit codes:" in build_parser().format_help()
 
     def test_module_entry_point(self, tmp_path):
         # the child interpreter finds the package as this one does, installed

@@ -79,6 +79,72 @@ class TestStratifiedFolds:
         assert np.array_equal(a, b)
 
 
+def reference_folds(labels, k, seed):
+    """stratified_folds selecting each class by labels == name."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    folds = np.empty(labels.shape[0], dtype=np.int64)
+    names, first = np.unique(labels, return_index=True)
+    for name in names[np.argsort(first)]:
+        idx = rng.permutation(np.flatnonzero(labels == name))
+        folds[idx] = np.arange(idx.size) % k
+    return folds
+
+
+def reference_resample(labels, plan):
+    """resample converting the labels to str once per class."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(plan.rng_seed)
+    chosen = []
+    for name, target in plan.targets.items():
+        idx = np.flatnonzero(labels.astype(str) == name)
+        if target <= idx.size:
+            chosen.append(rng.choice(idx, size=target, replace=False))
+        else:
+            extra = rng.choice(idx, size=target - idx.size, replace=True)
+            chosen.append(np.concatenate([idx, extra]))
+    return np.concatenate(chosen)
+
+
+class TestClassCodes:
+    def seeded_labels(self):
+        rng = np.random.default_rng(41)
+        names = np.array(["F2", "N1", "F1", "N3", "N2"])
+        codes = rng.choice(5, size=3000, p=[0.05, 0.5, 0.1, 0.15, 0.2])
+        yield names[codes]
+        yield codes * 7 - 3
+        yield names.astype(object)[codes]
+
+    def test_str_and_int_labels_match_the_per_class_reference(self):
+        for labels in self.seeded_labels():
+            for seed in (0, 5):
+                got = stratified_folds(labels, k=4, seed=seed)
+                assert got.tobytes() == reference_folds(labels, 4, seed).tobytes()
+            dist = distribution_from_labels(labels)
+            names, first = np.unique(labels, return_index=True)
+            order = names[np.argsort(first)]
+            assert dist.class_names == tuple(str(c) for c in order)
+            assert dist.counts.tolist() == [int((labels == c).sum()) for c in order]
+            targets = {name: int(c) // 2 + 3 for name, c in
+                       zip(dist.class_names, dist.counts)}
+            plan = ResamplePlan(targets, rng_seed=9)
+            got = resample(labels, plan)
+            assert got.tobytes() == reference_resample(labels, plan).tobytes()
+
+    def test_nan_labels_are_one_class(self):
+        labels = np.array([1.0, np.nan, 2.0, np.nan, 1.0, np.nan, np.nan, 2.0, 1.0])
+        dist = distribution_from_labels(labels)
+        assert dist.class_names == ("1.0", "nan", "2.0")
+        assert dist.counts.tolist() == [3, 4, 2]
+        folds = stratified_folds(labels, k=2, seed=3)
+        assert set(folds.tolist()) == {0, 1}
+        nan_folds = np.bincount(folds[np.isnan(labels)], minlength=2)
+        assert nan_folds.tolist() == [2, 2]
+        idx = resample(labels, ResamplePlan({"nan": 6, "1.0": 1}, rng_seed=2))
+        assert np.isnan(labels[idx]).sum() == 6
+        assert (labels[idx] == 1.0).sum() == 1
+
+
 class TestResample:
     def test_identity_targets(self):
         labels = np.array(["a", "a", "b", "b", "b"])
