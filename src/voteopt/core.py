@@ -23,8 +23,25 @@ class UndefinedRatioError(ValueError):
     """Imbalance ratio requested for a distribution with an empty class."""
 
 
+class _Owned:
+    """An array made for the one object it is passed to.
+
+    ``_frozen_array`` freezes it in place instead of copying it, so a reader
+    can hand over the arrays it built. Any other array is copied: the
+    caller's stays writeable and shares no memory with the object.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen_array(values, dtype=np.float64, ndim=None) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    if isinstance(values, _Owned):
+        arr = np.asarray(values.array, dtype=dtype)
+    else:
+        arr = np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.flags.writeable = False

@@ -10,9 +10,9 @@ from .core import ClassSet, PredictionSet, WeightMatrix
 from .metrics import (
     ConfusionMatrix,
     MetricsReport,
+    _class_scores,
     balanced_accuracy,
     binary_auprc,
-    ensemble_scores,
     per_class_prf,
 )
 
@@ -51,15 +51,28 @@ def predict_batch(
     weights: WeightMatrix, preds: PredictionSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``predict`` over a prediction set -> (class indices, tie flags)."""
-    return _votes(ensemble_scores(preds, weights))
+    return _votes(_class_scores(preds, weights))
 
 
-def _votes(combined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax class and exact-tie flag of each row of an (N, m) score matrix."""
-    predicted = combined.argmax(axis=1)
-    ties = (combined == combined[np.arange(len(combined)), predicted][:, None]).sum(
-        axis=1
-    ) > 1
+def _votes(ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vote and exact-tie flag of each instance from class-major (m, N) scores.
+
+    The vote is the lowest class holding the instance's maximum, as
+    ``argmax`` gives, found by comparing each class row with the maximum.
+    An instance whose maximum is NaN (overflowing mixed-sign scores) holds
+    no equal class: it votes like ``argmax``, for its first NaN class, and
+    is no tie.
+    """
+    best = ct.max(axis=0)
+    eq = ct == best
+    # counted in the narrowest unsigned type that holds the class count
+    ties = eq.sum(axis=0, dtype=np.min_scalar_type(len(ct))) > 1
+    predicted = np.zeros(best.shape, dtype=np.intp)
+    for j in range(len(ct) - 1, -1, -1):
+        predicted = np.where(eq[j], j, predicted)
+    nan = np.isnan(best)
+    if nan.any():
+        predicted[nan] = ct[:, nan].argmax(axis=0)
     return predicted, ties
 
 
@@ -78,14 +91,20 @@ def evaluate(
     Every class must appear in the truth: recall, and so balanced accuracy,
     is undefined for an absent class and raises. No class is skipped in
     AUPRC, and ``skipped_auprc_classes`` stays empty.
+
+    The ensemble scores are computed once, class-major (one contiguous row
+    per class), and shared by the vote, the tie count and AUPRC. Each
+    class's AUPRC adds trapezoids only at thresholds holding a positive:
+    every other term is exactly ``0.0`` (see ``binary_auprc``), so the
+    report is the same to the bit as a full trapezoid sum.
     """
     if len(preds) == 0:
         raise ValueError("prediction set is empty")
     classes = classes or preds.classes
     if classes.names != preds.classes.names:
         raise ValueError("class set does not match the prediction set")
-    combined = ensemble_scores(preds, weights)
-    predicted, ties = _votes(combined)
+    ct = _class_scores(preds, weights)
+    predicted, ties = _votes(ct)
     cm = ConfusionMatrix.from_predictions(
         preds.true_classes, predicted, classes.m, classes.names
     )
@@ -93,7 +112,7 @@ def evaluate(
     prf = per_class_prf(cm)
 
     if include_auprc:
-        auprc_values = [binary_auprc(combined[:, j], preds.true_classes == j)
+        auprc_values = [binary_auprc(ct[j], preds.true_classes == j)
                         for j in range(classes.m)]
         macro_auprc_value = float(np.mean(auprc_values))
     else:

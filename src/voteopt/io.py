@@ -25,6 +25,7 @@ from .core import (
     PredictionSet,
     SelectionVector,
     WeightMatrix,
+    _Owned,
 )
 
 
@@ -309,14 +310,18 @@ class _PredictionTable:
         if remap is not None:
             codes = remap[codes]
         n, m = self.classifiers.n, self.classes.m
+        scores = np.zeros((self.rows, n, m))
         if self.soft:
-            scores = np.concatenate(self.score_blocks).reshape(-1, n, m)
-            self.score_blocks.clear()  # PredictionSet makes its own copy
+            flat, at = scores.reshape(-1), 0
+            for i, block in enumerate(self.score_blocks):
+                flat[at:at + block.size] = block
+                at += block.size
+                self.score_blocks[i] = None  # freed once copied
         else:
-            scores = np.zeros((self.rows, n, m))
             np.put_along_axis(scores, codes[:, 1:, None], 1.0, axis=2)
         return PredictionSet(
-            tuple(self.ids), codes[:, 0], scores, self.classifiers, self.classes,
+            tuple(self.ids), codes[:, 0], _Owned(scores), self.classifiers,
+            self.classes,
         )
 
 

@@ -125,38 +125,72 @@ def binary_auprc(scores: np.ndarray, positive: np.ndarray) -> float:
     threshold); the curve is anchored at recall 0 with the precision of the
     top-scored group and integrated trapezoidally over recall. A constant
     score vector therefore yields the positive prevalence. Infinite scores
-    are ordinary thresholds; a NaN score is rejected.
+    are ordinary thresholds; a NaN score is rejected, as are ``scores`` and
+    ``positive`` of different lengths.
+
+    Only thresholds that hold a positive add area: at any other the recall
+    is the one above it, so its trapezoid is ``(x - x) * p / 2``, exactly
+    ``0.0``. Each positive-holding term is computed from its threshold's and
+    the next higher one's counts (its threshold found by ``np.searchsorted``
+    among the distinct scores) and scattered into zeros at its threshold's
+    place. That array equals the full trapezoid array, so its (pairwise)
+    sum is the same to the bit.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
-    p_total = int(positive.sum())
+    if positive.shape != scores.shape:
+        raise ValueError(
+            f"binary_auprc: {scores.size} scores but {positive.size} positive flags"
+        )
+    hits = np.sort(np.compress(positive, scores))
+    p_total = hits.size
     if p_total == 0:
         raise ValueError("binary_auprc requires at least one positive instance")
     ascending = np.sort(scores)
     if np.isnan(ascending[-1]):  # the sort puts NaN last
         raise ValueError("binary_auprc: scores contain NaN")
-    # first index of each distinct score, and the positives holding each one
+    n = scores.size
+    # where each distinct score starts and ends in the sorted scores
     first = np.flatnonzero(np.concatenate(([True], ascending[1:] != ascending[:-1])))
-    groups = np.searchsorted(ascending[first], np.sort(scores[positive]))
-    hits = np.bincount(groups, minlength=first.size)
-    # from the highest score down: positives and instances at or above it
-    tp = np.cumsum(hits[::-1])
-    predicted = scores.size - first[::-1]
-    recall = tp / p_total
-    precision = tp / predicted
-    r = np.concatenate(([0.0], recall))
-    p = np.concatenate(([precision[0]], precision))
-    return float(np.sum(np.diff(r) * (p[:-1] + p[1:]) / 2.0))
+    ends = np.append(first[1:], n)
+    # each distinct positive score, the positives at or above it and above
+    # it, and its threshold
+    starts = np.flatnonzero(np.concatenate(([True], hits[1:] != hits[:-1])))
+    tp = p_total - starts
+    tp_above = p_total - np.append(starts[1:], p_total)
+    group = np.searchsorted(ascending[first], hits[starts])
+    precision = tp / (n - first[group])
+    # above the top threshold: recall 0 at the top threshold's precision
+    above = n - ends[group]
+    precision_above = np.divide(tp_above, above, out=precision.copy(), where=above > 0)
+    # the sweep runs from the highest threshold down
+    area = np.zeros(first.size)
+    area[first.size - 1 - group] = (tp / p_total - tp_above / p_total) * (
+        precision_above + precision) / 2.0
+    return float(np.sum(area))
 
 
-def ensemble_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:
-    """Weighted per-class ensemble score for every instance, shape (N, m)."""
+def _class_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:
+    """Weighted ensemble scores class-major: a C-contiguous (m, N) matrix.
+
+    Row j is class j's score of every instance, so a per-class pass (the
+    vote's comparisons, each class's AUPRC sort) reads contiguous memory.
+    The einsum writes through the transpose, so ``ensemble_scores`` (that
+    transpose) has the same bits as the einsum into a fresh (N, m) array.
+    """
     if weights.w.shape != (preds.classifiers.n, preds.classes.m):
         raise ValueError(
             f"weight shape {weights.w.shape} does not match predictions "
             f"({preds.classifiers.n} classifiers, {preds.classes.m} classes)"
         )
-    return np.einsum("tij,ij->tj", preds.scores, weights.w)
+    ct = np.empty((preds.classes.m, preds.scores.shape[0]))
+    np.einsum("tij,ij->tj", preds.scores, weights.w, out=ct.T)
+    return ct
+
+
+def ensemble_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:
+    """Weighted per-class ensemble score for every instance, shape (N, m)."""
+    return _class_scores(preds, weights).T
 
 
 def auprc_per_class(
@@ -166,7 +200,7 @@ def auprc_per_class(
 
     Returns (values with NaN for skipped classes, skipped class names).
     """
-    scores = ensemble_scores(preds, weights)
+    scores = _class_scores(preds, weights)
     m = preds.classes.m
     values = np.full(m, np.nan)
     skipped = []
@@ -175,7 +209,7 @@ def auprc_per_class(
         if not pos.any():
             skipped.append(preds.classes.names[j])
             continue
-        values[j] = binary_auprc(scores[:, j], pos)
+        values[j] = binary_auprc(scores[j], pos)
     if skipped:
         warnings.warn(
             f"classes absent from the truth skipped in AUPRC: {skipped}"

@@ -7,6 +7,7 @@ from voteopt import (
     ClassSet,
     ClassifierSet,
     HyperParams,
+    PredictionSet,
     UndefinedRatioError,
     WeightMatrix,
     imbalance_ratio,
@@ -183,3 +184,13 @@ class TestValidation:
     def test_types_are_frozen(self, d2_matrix):
         with pytest.raises(ValueError):
             d2_matrix.values[0, 0] = 0.5
+
+    def test_prediction_set_copies_caller_arrays(self):
+        truth = np.array([0, 1, 1])
+        scores = np.random.default_rng(3).random((3, 2, 2))
+        preds = PredictionSet(("a", "b", "c"), truth, scores,
+                              ClassifierSet(("c0", "c1")), ClassSet(("x", "y")))
+        for given, held in ((truth, preds.true_classes), (scores, preds.scores)):
+            assert given.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(given, held)
+            assert np.array_equal(given, held)

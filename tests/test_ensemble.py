@@ -17,6 +17,7 @@ from voteopt.metrics import (
     MetricsReport,
     auprc_per_class,
     balanced_accuracy,
+    binary_auprc,
     per_class_prf,
 )
 
@@ -301,3 +302,78 @@ class TestEvaluateOracle:
             reference_evaluate(w, preds)
         assert str(got.value) == str(want.value)
         assert "'e6' has no instances" in str(got.value)
+
+
+def vote_edge_set():
+    """Rows of the class-major vote's edge cases, as (N, 2, 3) scores under
+    weights of 1e10, so that +-1e308 scores overflow to +-inf and NaN."""
+    big = 1e308
+    rows = [
+        ([3, 1, 3], [0, 0, 0]),  # class 0 ties the maximum
+        ([2, 2, 2], [0, 0, 0]),  # all equal
+        ([1, 5, 5], [0, 0, 0]),  # a tie above class 0
+        ([1, 2, 3], [0, 0, 0]),
+        ([big, 0, big], [0, 0, 0]),  # tied +inf
+        ([-big, -big, -big], [0, 0, 0]),  # all -inf
+        ([-big, 1, -big], [0, 0, 0]),
+        ([1, big, 2], [0, -big, 0]),  # NaN maximum in class 1
+        ([big, big, 1], [-big, 0, 0]),  # NaN in class 0 beside +inf
+        ([big, big, big], [-big, -big, 0]),  # two NaN classes
+    ]
+    return make_predictions([[a, b] for a, b in rows], np.arange(len(rows)) % 3, 2, 3)
+
+
+class TestVoteEdgeCases:
+    def test_votes_and_ties_match_argmax(self):
+        preds = vote_edge_set()
+        w = WeightMatrix(np.full((2, 3), 1e10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            combined = np.einsum("tij,ij->tj", preds.scores, w.w)
+            predicted, ties = predict_batch(w, preds)
+            got = evaluate(w, preds, include_auprc=False).as_dict()
+            want = reference_evaluate(w, preds, include_auprc=False).as_dict()
+        assert np.isnan(combined).any(axis=1).sum() == 3
+        assert np.isinf(combined).any()
+        assert predicted.tolist() == combined.argmax(axis=1).tolist()
+        assert predicted.tolist() == [0, 0, 1, 2, 0, 0, 1, 1, 0, 0]
+        top = combined[np.arange(len(preds)), predicted]
+        assert ties.tolist() == ((combined == top[:, None]).sum(axis=1) > 1).tolist()
+        assert ties.tolist() == [True, True, True, False, True, True, False,
+                                 False, False, False]
+        assert float_bytes(got) == float_bytes(want)
+
+
+def auprc_edge_cases():
+    rng = np.random.default_rng(41)
+    size = 500
+    grid = np.floor(rng.random(size) * 16) / 16
+    some = rng.random(size) < 0.3
+    one = np.zeros(size, dtype=bool)
+    one[int(rng.integers(size))] = True
+    infinite = grid.copy()
+    infinite[rng.random(size) < 0.1] = np.inf
+    infinite[rng.random(size) < 0.1] = -np.inf
+    signed = rng.choice([-0.0, 0.0, 0.25, -0.5], size=size)
+    cases = {
+        "all_positive": (grid, np.ones(size, dtype=bool)),
+        "one_positive": (grid, one),
+        "one_distinct": (np.full(size, 0.375), some),
+        "top_group_negative": (grid, some & (grid < grid.max())),
+        "bottom_group_only": (grid, grid == grid.min()),
+        "infinities": (infinite, some | np.isinf(infinite) & (rng.random(size) < 0.5)),
+        "signed_zeros": (signed, some),
+    }
+    for name, (scores, positive) in cases.items():
+        yield pytest.param(scores, positive, id=name)
+
+
+class TestAuprcEdgeCases:
+    @pytest.mark.parametrize("scores, positive", list(auprc_edge_cases()))
+    def test_matches_argsort_reference(self, scores, positive):
+        assert positive.any()
+        # the argsort reference splits tied infinities (inf - inf is NaN);
+        # +-1e300 keep the order and the ties of the finite scores given
+        finite = np.where(np.isinf(scores), np.sign(scores) * 1e300, scores)
+        got = binary_auprc(scores, positive)
+        want = argsort_auprc(finite, positive)
+        assert float_bytes(got) == float_bytes(want)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voteopt import io
+from voteopt import core, io
 from voteopt.cli import build_parser, main
 from voteopt.core import (
     ClassifierSet, ClassSet, PredictionSet, SelectionVector, WeightMatrix,
@@ -112,6 +112,27 @@ class TestPredictionsIo:
         again = io.read_predictions(path, d2_matrix.classifiers, d2_matrix.classes)
         assert np.array_equal(preds.scores, again.scores)
         assert np.array_equal(preds.true_classes, again.true_classes)
+
+    @pytest.mark.parametrize("layout", ["soft", "hard"])
+    def test_reader_hands_over_its_scores_uncopied(self, tmp_path, monkeypatch, layout):
+        p = tmp_path / "preds.csv"
+        p.write_text(
+            "instance_id,true_class,c0:x,c0:y\ni0,x,0.25,0.75\ni1,y,1,0\n"
+            if layout == "soft" else
+            "instance_id,true_class,c0,c1\ni0,x,x,y\ni1,y,y,y\n"
+        )
+        frozen, calls = core._frozen_array, []
+
+        def spy(values, *args, **kwargs):
+            calls.append((values, frozen(values, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(core, "_frozen_array", spy)
+        preds = io.read_predictions(p)
+        (given,) = [values for values, held in calls if held is preds.scores]
+        assert isinstance(given, core._Owned)
+        assert np.shares_memory(given.array, preds.scores)
+        assert not preds.scores.flags.writeable
 
     def test_hard_labels_become_one_hot(self, tmp_path):
         p = tmp_path / "hard.csv"

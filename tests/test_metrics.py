@@ -241,6 +241,13 @@ class TestBinaryAuprc:
         # 0.5 (2/3 at 2/3), then everything (3/5 at 1)
         assert got == pytest.approx(2 / 3 + (1 / 3) * (2 / 3 + 3 / 5) / 2)
 
+    def test_length_mismatch_rejected(self):
+        scores = np.array([0.3, 0.2, 0.1])
+        with pytest.raises(ValueError, match="3 scores but 2 positive flags"):
+            binary_auprc(scores, np.array([True, False]))
+        with pytest.raises(ValueError, match="3 scores but 4 positive flags"):
+            binary_auprc(scores, np.array([1, 0, 0, 1]))
+
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             binary_auprc(np.array([0.1, 0.2]), np.array([False, False]))
