@@ -52,7 +52,7 @@ from .optimizer import (
     tune_hyperparams,
     validate_constraints,
 )
-from .qpsolve import QpProblem, QpSolution, QpStatus, grid_oracle, solve_qp
+from .qpsolve import QpProblem, QpSolution, QpStatus, grid_oracle
 from .sampling import (
     ResamplePlan,
     StepPlan,
@@ -109,7 +109,6 @@ __all__ = [
     "predict",
     "ratio_targets",
     "resample",
-    "solve_qp",
     "solve_weighting",
     "step_targets",
     "stratified_folds",

@@ -31,6 +31,10 @@ class DeParams:
             raise ValueError(
                 f"population must be >= 4, got {self.population_size}"
             )
+        if self.max_generations < 0:
+            raise ValueError(
+                f"generations must be >= 0, got {self.max_generations}"
+            )
         if not 0.0 < self.differential_weight <= 2.0:
             raise ValueError(
                 f"differential weight must be in (0, 2], got {self.differential_weight}"

@@ -60,7 +60,12 @@ METRIC_FIELDS = (
 )
 
 
+# on/off flags default to None, not False, so that a config file can set them
+FLAGS = ("no_timestamp", "no_auprc", "deterministic")
+
+
 def _merge_config(args: argparse.Namespace) -> None:
+    """Fill every setting left unset on the command line from --config."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
@@ -71,6 +76,8 @@ def _merge_config(args: argparse.Namespace) -> None:
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"{args.config}: unknown setting {key!r}")
+        if attr in FLAGS and not isinstance(value, bool):
+            raise ValueError(f"{args.config}: {key!r} must be true or false")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
 
@@ -334,13 +341,13 @@ def cmd_validate(args) -> int:
 
 def _add_common(sub, *, workers=False, de=False, hyper=False):
     sub.add_argument("--config", help="JSON file supplying unset flags")
-    sub.add_argument("--no-timestamp", action="store_true",
+    sub.add_argument("--no-timestamp", action="store_true", default=None,
                      help="omit the timestamp line from reports")
     if workers:
         # kept so existing command lines and config files still parse
         sub.add_argument("--workers", type=int, default=None,
                          help="accepted for compatibility; has no effect")
-        sub.add_argument("--deterministic", action="store_true",
+        sub.add_argument("--deterministic", action="store_true", default=None,
                          help="accepted for compatibility; has no effect")
     if hyper:
         sub.add_argument("--lam", type=float, default=None)
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--out-report", required=True)
-    p.add_argument("--no-auprc", action="store_true")
+    p.add_argument("--no-auprc", action="store_true", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 

@@ -3,11 +3,10 @@
 The mixed-integer model is solved exactly: the binary selection layer is
 enumerated (or branch-and-bound searched for large pools, on a closed-form
 per-class bound) and the candidate subsets' continuous weight problems are
-solved in batches, in closed form or by an exact active-set step
-(:mod:`voteopt.subsetsolve`), each answer certified by its KKT conditions.
-A subset neither certifies goes to the dense interior-point solver, the
-only place a solver tolerance applies, and is counted. The weight model,
-stated over accuracies ``v`` and weights ``w``:
+solved in batches, in closed form, by an exact active-set step or at a
+simplex-chosen vertex (:mod:`voteopt.subsetsolve`), each answer certified
+by its KKT conditions. The weight model, stated over accuracies ``v`` and
+weights ``w``:
 
     maximize (1/m) sum_ij w_ij v_ij
              - lam * (alpha * sum_ij w_ij + (1-alpha)/2 * sum_ij w_ij**2)
@@ -42,7 +41,7 @@ from .core import (
     objective_value,
 )
 from . import subsetsolve
-from .qpsolve import QpProblem, QpStatus, solve_qp
+from .qpsolve import QpStatus
 
 TIE_TOL = 1e-9
 VALIDATION_TOL = 1e-6
@@ -67,8 +66,9 @@ class AllSubsetsInfeasible(RuntimeError):
 class SolverIncomplete(RuntimeError):
     """The exact search could not finish, so optimality is not established.
 
-    Raised when a subset's interior-point fallback stops at its iteration
-    limit (``subset`` names it) or branch-and-bound exceeds its node limit.
+    Raised when the batched solver certifies neither an optimum nor
+    infeasibility for a subset (``subset`` names it) or branch-and-bound
+    exceeds its node limit.
     """
 
     def __init__(self, message: str, subset=None):
@@ -83,8 +83,9 @@ class SolveStats:
     ``enumerated`` subsets were examined; of those, ``screened`` were
     rejected up front (some class floor (8) above every member's accuracy),
     ``closed_form`` and ``active_set`` were solved and certified by the
-    batched kernel's two stages, and ``ipm_fallback`` went to the
-    interior-point solver. Branch-and-bound expanded ``nodes`` nodes and
+    batched kernel (``active_set`` counts the simplex-chosen vertices too),
+    and ``infeasible`` were proven infeasible after screening; the four sum
+    to ``enumerated``. Branch-and-bound expanded ``nodes`` nodes and
     discarded ``pruned`` by their bound or as infeasible; both are 0 under
     enumeration.
     """
@@ -93,7 +94,7 @@ class SolveStats:
     screened: int = 0
     closed_form: int = 0
     active_set: int = 0
-    ipm_fallback: int = 0
+    infeasible: int = 0
     nodes: int = 0
     pruned: int = 0
 
@@ -153,83 +154,38 @@ def enumerate_subsets(n: int, k: int):
     return itertools.combinations(range(n), k)
 
 
-def build_subset_problem(
-    v: AccuracyMatrix, params: HyperParams, subset: tuple[int, ...]
-) -> QpProblem:
-    """Continuous weight subproblem for a fixed selected subset.
-
-    Variables are the selected classifiers' weights in classifier-major
-    order; unselected rows are fixed at zero by omission. The inequality
-    block carries, in order: the per-class accuracy floors (8) and the
-    per-selected-classifier weight floors from (7). The overall floor (9)
-    is the average of the (8) rows, so it is implied and left out.
-    """
-    vals = v.values
-    n, m = vals.shape
-    k = len(subset)
-    nv = k * m
-    lam, alpha, eps = params.lam, params.alpha, params.epsilon
-
-    sub = vals[list(subset), :]  # (k, m)
-    c = (sub / m - lam * alpha).reshape(nv)
-    q = np.full(nv, lam * (1.0 - alpha) / 2.0)
-
-    a_eq = np.zeros((m, nv))
-    for j in range(m):
-        a_eq[j, j::m] = 1.0
-    b_eq = np.ones(m)
-
-    a_in = np.zeros((m + k, nv))
-    b_in = np.empty(m + k)
-    for j in range(m):
-        a_in[j, j::m] = sub[:, j]
-        b_in[j] = vals[:, j].mean() + eps
-    for li in range(k):
-        a_in[m + li, li * m:(li + 1) * m] = 1.0
-        b_in[m + li] = eps
-    return QpProblem(q, c, a_eq, b_eq, a_in, b_in)
-
-
 def _embed(w_sub: np.ndarray, subset, n: int) -> np.ndarray:
     w = np.zeros((n, w_sub.shape[1]))
     w[list(subset)] = w_sub
     return w
 
 
-def _solve_subsets(v, params, subsets: np.ndarray, tol: float):
+def _solve_subsets(v, params, subsets: np.ndarray):
     """Optimal objective and (K, m) weights of every row of ``subsets``.
 
-    The batched kernel solves and certifies what it can; each remaining
-    subset goes to the interior-point solver. Returns objectives (nan where
-    infeasible), weights and the SolveStats of this batch.
+    Returns objectives (nan where infeasible), weights and the SolveStats of
+    this batch; raises SolverIncomplete for a subset the batched solver
+    leaves unresolved.
     """
-    vals = v.values
-    lam, alpha = params.lam, params.alpha
-    batch = subsetsolve.solve_batch(vals, subsets, lam, alpha, params.epsilon)
-    objective, weights = batch.objective, batch.weights
-    for b in np.flatnonzero(batch.status == subsetsolve.UNRESOLVED):
-        subset = tuple(int(i) for i in subsets[b])
-        sol = solve_qp(build_subset_problem(v, params, subset), tol=tol)
-        if sol.status is QpStatus.MAX_ITERATIONS:
-            raise SolverIncomplete(
-                f"subset {subset}: the interior-point fallback stopped at its "
-                "iteration limit, so the optimum is not established",
-                subset=subset,
-            )
-        if sol.status is QpStatus.INFEASIBLE:
-            continue
-        weights[b] = sol.w.reshape(weights.shape[1:])
-        objective[b] = subsetsolve.subset_objective(
-            vals[list(subset)][None], weights[b][None], lam, alpha)[0]
-    counts = np.bincount(batch.status, minlength=4)
+    batch = subsetsolve.solve_batch(v.values, subsets, params.lam, params.alpha,
+                                    params.epsilon)
+    unresolved = np.flatnonzero(batch.status == subsetsolve.UNRESOLVED)
+    if unresolved.size:
+        subset = tuple(int(i) for i in subsets[unresolved[0]])
+        raise SolverIncomplete(
+            f"subset {subset}: neither an optimum nor infeasibility could be "
+            "certified, so the optimum is not established",
+            subset=subset,
+        )
+    counts = np.bincount(batch.status, minlength=5)
     stats = SolveStats(
         enumerated=len(subsets),
         screened=int(counts[subsetsolve.SCREENED]),
         closed_form=int(counts[subsetsolve.CLOSED_FORM]),
         active_set=int(counts[subsetsolve.ACTIVE_SET]),
-        ipm_fallback=int(counts[subsetsolve.UNRESOLVED]),
+        infeasible=int(counts[subsetsolve.INFEASIBLE]),
     )
-    return objective, weights, stats
+    return batch.objective, batch.weights, stats
 
 
 def _ranked(results) -> tuple[SubsetResult, ...]:
@@ -267,7 +223,6 @@ def solve_weighting(
     params: HyperParams,
     workers: int = 1,
     method: str = "auto",
-    tol: float = 1e-8,
 ) -> MipSolution:
     """Globally optimal selection + weights for ensemble size ``params.k``.
 
@@ -276,12 +231,11 @@ def solve_weighting(
     top-K bound, "auto" picks between them. Of the subsets whose objectives
     lie within TIE_TOL (1e-9) of the best, the lexicographically smallest
     wins; branch-and-bound reaches every such subset, so both methods pick
-    the same one. ``tol`` is the tolerance of the interior-point fallback
-    only. ``workers`` is accepted for compatibility and has no effect:
-    enumeration is one batched pass.
+    the same one. ``workers`` is accepted for compatibility and has no
+    effect: enumeration is one batched pass.
 
     Raises AllSubsetsInfeasible when no subset admits feasible weights and
-    SolverIncomplete when a subset's fallback does not converge.
+    SolverIncomplete when a subset's optimum cannot be certified.
     """
     n = v.n
     if params.k > n:
@@ -291,7 +245,7 @@ def solve_weighting(
     if method == "auto":
         method = "enumerate" if n <= 20 else "bnb"
     if method == "bnb":
-        return _solve_bnb(v, params, tol)
+        return _solve_bnb(v, params)
 
     subsets = enumerate_subsets(n, params.k)
     results: list[SubsetResult] = []
@@ -300,8 +254,7 @@ def solve_weighting(
     stats = SolveStats()
     while chunk := list(itertools.islice(subsets, CHUNK)):
         objective, weights, chunk_stats = _solve_subsets(
-            v, params, np.array(chunk, dtype=np.intp), tol
-        )
+            v, params, np.array(chunk, dtype=np.intp))
         stats += chunk_stats
         for subset, obj in zip(chunk, objective.tolist()):
             if math.isnan(obj):
@@ -328,7 +281,7 @@ def solve_weighting(
 # --- branch and bound over the selection ----------------------------------------
 
 
-def _solve_bnb(v, params, tol, max_nodes: int = 100_000) -> MipSolution:
+def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
     """Best-first branch-and-bound on a per-class top-K bound (Land & Doig 1960).
 
     Classifiers are decided in one fixed order, by descending row sum, each
@@ -373,7 +326,7 @@ def _solve_bnb(v, params, tol, max_nodes: int = 100_000) -> MipSolution:
                 open_.append((bound, inc, d))
         if subsets:
             objective, weights, leaf_stats = _solve_subsets(
-                v, params, np.array(subsets, dtype=np.intp), tol)
+                v, params, np.array(subsets, dtype=np.intp))
             stats += leaf_stats
             for subset, obj, w in zip(subsets, objective.tolist(), weights):
                 if math.isnan(obj):

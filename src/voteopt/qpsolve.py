@@ -1,10 +1,9 @@
-"""Dense convex quadratic programming: the fallback for subsets the batched
-solver of :mod:`voteopt.subsetsolve` cannot certify.
+"""A brute-force oracle for small convex quadratic programs.
 
-``solve_qp`` runs a primal-dual interior-point method (Mehrotra 1992
-predictor-corrector); ``grid_oracle`` is an independent brute-force
-enumerator used to validate it. Both are vectorized numpy. Problems are
-stated in one canonical form:
+``grid_oracle`` maximizes over a grid of feasible points by exhaustive,
+vectorized enumeration. It shares no code with the solver of
+:mod:`voteopt.subsetsolve` and serves as an independent check on it. Problems
+are stated in one canonical form:
 
     maximize    c.w - sum_i q_i * w_i**2
     subject to  a_eq @ w == b_eq
@@ -24,14 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 200
-
-# ipm_solve status codes
-IPM_CONVERGED = 0
-IPM_MAX_ITER = 1
-IPM_DIVERGED = 2
-
 _ORACLE_MAX_VARS = 8
 _ORACLE_MAX_POINTS = 5_000_000
 
@@ -39,7 +30,6 @@ _ORACLE_MAX_POINTS = 5_000_000
 class QpStatus(str, enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    MAX_ITERATIONS = "max_iterations"
 
 
 @dataclass(frozen=True)
@@ -93,230 +83,15 @@ class QpProblem:
             a_in, b_in = np.zeros((0, nv)), np.zeros(0)
         return cls(np.asarray(q, dtype=np.float64), c, a_eq, b_eq, a_in, b_in)
 
-    def objective(self, w: np.ndarray) -> float:
-        w = np.asarray(w, dtype=np.float64)
-        return float(self.c @ w - self.q @ (w * w))
-
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Solver output.
-
-    ``y_eq``/``z_in``/``z_bounds`` are the equality, inequality and bound
-    multipliers; like ``kkt_residuals`` they are None for grid-oracle
-    solutions, which carry no dual information.
-    """
+    """Oracle output; ``certificate`` says why an INFEASIBLE one is."""
 
     w: np.ndarray
     objective: float
     status: QpStatus
-    kkt_residuals: dict[str, float] | None = None
-    iterations: int = 0
     certificate: str | None = None
-    y_eq: np.ndarray | None = None
-    z_in: np.ndarray | None = None
-    z_bounds: np.ndarray | None = None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is QpStatus.OPTIMAL
-
-
-def _step_length(x, dx):
-    """Largest step in (0, 1] that keeps ``x + step * dx`` at least 1% of ``x``."""
-    neg = dx < 0.0
-    return np.min(-0.99 * x[neg] / dx[neg], initial=1.0)
-
-
-def ipm_solve(qdiag, c, a_eq, b_eq, g_in, h_in, tol, max_iter):
-    """Primal-dual interior point with Mehrotra predictor-corrector steps.
-
-    Maximizes ``c.w - sum(qdiag * w**2)`` subject to ``a_eq @ w == b_eq``,
-    ``g_in @ w >= h_in`` and ``w >= 0`` (bounds are folded into the
-    inequality block, so the scaled normal matrix stays positive definite
-    even in the linear case qdiag == 0).
-
-    Returns ``(w, y, z, status, iters, res_stat, res_primal, res_comp)``
-    where y/z are the equality/inequality multipliers of the best iterate.
-    """
-    nv = c.shape[0]
-    me = b_eq.shape[0]
-    gf = np.vstack([g_in, np.eye(nv)])
-    hf = np.concatenate([h_in, np.zeros(nv)])
-    mt = gf.shape[0]
-    two_q = 2.0 * qdiag
-    reg = np.diag(np.full(me, -1e-10))
-
-    w, y, s, z = np.ones(nv), np.zeros(me), np.ones(mt), np.ones(mt)
-    best_err = np.inf
-    best = (w, y, z, np.inf, np.inf, np.inf)
-    status = IPM_MAX_ITER
-    iters = stall = 0
-    for _ in range(max_iter):
-        iters += 1
-        rd = two_q * w - c - gf.T @ z - a_eq.T @ y
-        rp = a_eq @ w - b_eq
-        gw = gf @ w
-        rg = gw - s - hf
-        mu = (s @ z) / mt
-        if not np.isfinite(mu) or mu > 1e14:
-            status = IPM_DIVERGED
-            break
-
-        res_stat = np.max(np.abs(rd), initial=0.0)
-        res_primal = max(np.max(np.abs(rp), initial=0.0),
-                         np.max(hf - gw, initial=0.0))
-        err = max(res_stat, res_primal, mu)
-        if err < best_err:
-            if err < 0.5 * best_err:
-                stall = 0
-            best_err = err
-            best = (w, y, z, res_stat, res_primal, mu)
-        else:
-            stall += 1
-        if err <= tol:
-            status = IPM_CONVERGED
-            break
-        if stall > 30:
-            break
-
-        h_mat = gf.T @ ((z / s)[:, None] * gf)
-        h_mat[np.diag_indices(nv)] += two_q + 1e-12
-        kkt = np.block([[h_mat, -a_eq.T], [a_eq, reg]])
-        comp = s * z
-
-        def direction(target):
-            rhs1 = -rd - gf.T @ ((target + z * rg) / s)
-            sol = np.linalg.solve(kkt, np.concatenate([rhs1, -rp]))
-            ds = gf @ sol[:nv] + rg
-            dz = -(target + z * ds) / s
-            return sol[:nv], sol[nv:], ds, dz
-
-        # predictor (affine) step, then the centred corrector
-        _, _, ds, dz = direction(comp)
-        ap, ad = _step_length(s, ds), _step_length(z, dz)
-        mu_aff = ((s + ap * ds) @ (z + ad * dz)) / mt
-        ratio = min(max(mu_aff / mu, 0.0), 1.0)
-        sigma = ratio * ratio * ratio  # not ratio**3, which rounds differently
-        dw, dy, ds, dz = direction(comp + ds * dz - sigma * mu)
-        ap, ad = _step_length(s, ds), _step_length(z, dz)
-        w = w + ap * dw
-        s = s + ap * ds
-        z = z + ad * dz
-        y = y + ad * dy
-        if not np.all(np.isfinite(w)):
-            status = IPM_DIVERGED
-            break
-
-    # a converged iterate is always the best one
-    w, y, z, res_stat, res_primal, res_comp = best
-    return w, y, z, status, iters, res_stat, res_primal, res_comp
-
-
-def _run_kernel(problem: QpProblem, tol: float, max_iter: int):
-    try:
-        return ipm_solve(
-            problem.q, problem.c, problem.a_eq, problem.b_eq,
-            problem.a_in, problem.b_in, tol, max_iter,
-        )
-    except np.linalg.LinAlgError:
-        nv = problem.n_vars
-        return (np.zeros(nv), np.zeros(problem.b_eq.shape[0]),
-                np.zeros(problem.b_in.shape[0] + nv), IPM_DIVERGED, 0,
-                np.inf, np.inf, np.inf)
-
-
-def _phase1(problem: QpProblem, tol: float, max_iter: int):
-    """Elastic feasibility LP: minimal total constraint violation.
-
-    Returns (violation, per-eq-row violation, per-ineq-row violation).
-    """
-    nv = problem.n_vars
-    me = problem.b_eq.shape[0]
-    mi = problem.b_in.shape[0]
-    ne = nv + 2 * me + mi
-
-    c = np.zeros(ne)
-    c[nv:] = -1.0
-    q = np.zeros(ne)
-
-    a_eq = np.zeros((me, ne))
-    a_eq[:, :nv] = problem.a_eq
-    a_eq[:, nv:nv + me] = np.eye(me)
-    a_eq[:, nv + me:nv + 2 * me] = -np.eye(me)
-
-    a_in = np.zeros((mi, ne))
-    a_in[:, :nv] = problem.a_in
-    a_in[:, nv + 2 * me:] = np.eye(mi)
-
-    elastic = QpProblem(q, c, a_eq, problem.b_eq, a_in, problem.b_in)
-    w, _, _, status, _, _, _, _ = _run_kernel(elastic, tol, max_iter)
-    if status != IPM_CONVERGED:
-        return np.inf, np.zeros(me), np.zeros(mi)
-    t_pos = w[nv:nv + me]
-    t_neg = w[nv + me:nv + 2 * me]
-    u = w[nv + 2 * me:]
-    return float(t_pos.sum() + t_neg.sum() + u.sum()), t_pos + t_neg, u
-
-
-def solve_qp(
-    problem: QpProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> QpSolution:
-    """Solve the canonical QP to KKT residuals <= ``tol``.
-
-    A non-converged run is re-checked with an elastic feasibility
-    subproblem: if that certifies violation, the result is INFEASIBLE with
-    the offending constraint rows named; otherwise MAX_ITERATIONS with the
-    best iterate found.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    w, y, z, status, iters, r_stat, r_primal, r_comp = _run_kernel(
-        problem, tol, max_iter
-    )
-    mi = problem.b_in.shape[0]
-    residuals = {
-        "stationarity": float(r_stat),
-        "primal": float(r_primal),
-        "dual": float(max(0.0, -(z.min() if z.size else 0.0))),
-        "complementarity": float(r_comp),
-    }
-    if status == IPM_CONVERGED:
-        return QpSolution(
-            w=w,
-            objective=problem.objective(w),
-            status=QpStatus.OPTIMAL,
-            kkt_residuals=residuals,
-            iterations=int(iters),
-            y_eq=y,
-            z_in=z[:mi],
-            z_bounds=z[mi:],
-        )
-
-    scale = 1.0 + max(
-        float(np.max(np.abs(problem.b_eq), initial=0.0)),
-        float(np.max(np.abs(problem.b_in), initial=0.0)),
-    )
-    feas_tol = max(tol, 1e-9) * scale
-    violation, eq_viol, in_viol = _phase1(problem, tol, max_iter)
-    status, certificate = QpStatus.MAX_ITERATIONS, None
-    if violation > feas_tol:
-        bad_eq = [int(i) for i in np.flatnonzero(eq_viol > feas_tol)]
-        bad_in = [int(i) for i in np.flatnonzero(in_viol > feas_tol)]
-        status, certificate = QpStatus.INFEASIBLE, (
-            f"total violation {violation:.3e}; "
-            f"unsatisfiable equality rows {bad_eq}, inequality rows {bad_in}"
-        )
-    return QpSolution(
-        w=w,
-        objective=problem.objective(w),
-        status=status,
-        kkt_residuals=residuals,
-        iterations=int(iters),
-        certificate=certificate,
-    )
 
 
 # --- grid oracle -----------------------------------------------------------
@@ -466,9 +241,7 @@ def grid_oracle(problem: QpProblem, step: float) -> QpSolution:
             best = int(np.argmax(sc))
             w[support] = cand[best]
             total += float(sc[best])
-        return QpSolution(
-            w=w, objective=total, status=QpStatus.OPTIMAL, iterations=0
-        )
+        return QpSolution(w=w, objective=total, status=QpStatus.OPTIMAL)
 
     # coupled case: enumerate the candidate product
     counts = [cand.shape[0] for cand in candidates]
@@ -504,7 +277,5 @@ def grid_oracle(problem: QpProblem, step: float) -> QpSolution:
     w = np.zeros(nv)
     for bi, (support, cand) in enumerate(zip(supports, candidates)):
         w[support] = cand[idx[best, bi]]
-    return QpSolution(
-        w=w, objective=float(total[best]), status=QpStatus.OPTIMAL, iterations=0
-    )
+    return QpSolution(w=w, objective=float(total[best]), status=QpStatus.OPTIMAL)
 

@@ -27,10 +27,19 @@ and the classes share only ``sum_j w_ij >= eps`` for every selected row (7).
    KKT conditions are one linear system, and primal-dual active-set updates
    (Hintermueller, Ito & Kunisch 2002) revise the sets until the solution is
    certified or the sets stop changing.
-3. Whatever neither stage certifies is returned UNRESOLVED, for the caller's
-   interior-point fallback.
+3. Vertex, for whatever is still uncertified (at q = 0, a floor (8) that the
+   closed form misses; for q > 0, sets on which stage 2 meets a singular
+   system). Phase 1 of a dense two-phase simplex method with Bland's (1977)
+   rule proves the subset infeasible or reaches a feasible basis, and phase 2
+   moves to an optimal vertex of the linear part (Nocedal & Wright 2006,
+   ch. 13). The simplex only chooses sets: the basic weights are the support,
+   and the non-basic surpluses of (8) and (7) the active rows. At q = 0 the
+   KKT system of those sets gives the answer; for q > 0 a primal active-set
+   method (ibid., Algorithm 16.3) walks from the vertex to the optimum. A
+   feasible subset left uncertified is returned UNRESOLVED; no known input
+   gets there.
 
-Every answer of stages 1 and 2 carries a KKT certificate: (5), (7), (8) and
+Every certified answer carries a KKT certificate: (5), (7), (8) and
 ``w >= 0`` hold to ``PRIMAL_TOL``; the multipliers of (7) and (8) are
 non-negative and vanish where their rows are slack; and the reduced
 gradient is zero on the support and non-positive off it, to ``DUAL_TOL``
@@ -47,12 +56,16 @@ import numpy as np
 # per-subset outcome codes
 SCREENED = 0  # some class floor (8) exceeds every member's accuracy
 CLOSED_FORM = 1
-ACTIVE_SET = 2
+ACTIVE_SET = 2  # the KKT system of fixed sets, chosen by stage 2 or 3
 UNRESOLVED = 3
+INFEASIBLE = 4  # not screened, but proven infeasible by phase 1
 
 PRIMAL_TOL = 1e-12
 DUAL_TOL = 1e-12
+PIVOT_TOL = 1e-11
+ROUNDING_TOL = 1e-15  # a phase-1 violation above this is not rounding
 MAX_ACTIVE_SET_ITER = 30
+MAX_PIVOTS = 500
 
 
 @dataclass(frozen=True)
@@ -136,6 +149,7 @@ def solve_batch(vals, subsets, lam, alpha, eps) -> SubsetBatch:
             idx = live[rest][ok2]
             weights[idx] = w2[ok2]
             status[idx] = ACTIVE_SET
+        _vertices(sub, f, q, eps, status, weights)
     objective = np.full(batch, np.nan)
     solved = (status == CLOSED_FORM) | (status == ACTIVE_SET)
     objective[solved] = subset_objective(sub[solved], weights[solved], lam, alpha)
@@ -270,18 +284,15 @@ def _active_set(sub, f, q, eps, support, floor, rowact, red):
     four are updated in place. Returns the weights and which subsets were
     certified.
     """
-    batch, k, m = sub.shape
+    batch, _, m = sub.shape
     w_out = np.zeros_like(sub)
     ok = np.zeros(batch, dtype=bool)
     work = np.arange(batch)
     for _ in range(MAX_ACTIVE_SET_ITER):
         s = sub[work]
         _guard(support, floor, rowact, red, s, work)
-        x, solved = _solve_kkt(s, f, q, eps, support[work], floor[work], rowact[work])
-        w = np.where(support[work], x[:, :k * m].reshape(-1, k, m), 0.0)
-        nu = x[:, k * m:k * m + m]
-        mu = np.where(floor[work], x[:, k * m + m:k * m + 2 * m], 0.0)
-        gamma = np.where(rowact[work], x[:, k * m + 2 * m:], 0.0)
+        w, nu, mu, gamma, solved = _solve_kkt(s, f, q, eps, support[work],
+                                              floor[work], rowact[work])
         good = solved & _certify(s, f, q, eps, w, nu, mu, gamma)
         w_out[work[good]] = w[good]
         ok[work[good]] = True
@@ -326,14 +337,17 @@ def _guard(support, floor, rowact, red, sub, work):
     support[work] = sup
 
 
-def _solve_kkt(sub, f, q, eps, support, floor, rowact):
+def _solve_kkt(sub, f, q, eps, support, floor, rowact, refine=False):
     """Solve the KKT system of each subset for its fixed sets.
 
     Unknowns, in order: w_ij (classifier-major), nu_j of (5), mu_j of (8),
     gamma_i of (7). Support entries satisfy
     ``2q w_ij + nu_j - mu_j v_ij - gamma_i = v_ij / m``; entries off the
     support, and multipliers of inactive rows, are pinned to zero.
-    Returns the (B, N) solutions and which systems were non-singular.
+    ``refine`` adds one step of iterative refinement, which keeps small
+    multipliers accurate beside a floor multiplier of 1e4 or more.
+    Returns (w, nu, mu, gamma), zero off the sets, and which systems were
+    non-singular.
     """
     batch, k, m = sub.shape
     nw = k * m
@@ -371,5 +385,159 @@ def _solve_kkt(sub, f, q, eps, support, floor, rowact):
                 x[b] = np.linalg.solve(a[b], rhs[b])
             except np.linalg.LinAlgError:
                 solved[b] = False
+    if refine and solved.all():
+        x += np.linalg.solve(a, (rhs - np.einsum("bij,bj->bi", a, x))[..., None])[..., 0]
     solved &= np.all(np.isfinite(x), axis=1)
-    return np.where(solved[:, None], x, 0.0), solved
+    x = np.where(solved[:, None], x, 0.0)
+    w = np.where(support, x[:, :nw].reshape(batch, k, m), 0.0)
+    mu = np.where(floor, x[:, nw + m:nw + 2 * m], 0.0)
+    gamma = np.where(rowact, x[:, nw + 2 * m:], 0.0)
+    return w, x[:, nw:nw + m], mu, gamma, solved
+
+
+# --- stage 3: simplex vertex, then primal active set ------------------------------
+
+
+def _vertices(sub, f, q, eps, status, weights):
+    """Stage 3 on every UNRESOLVED subset; updates ``status`` and ``weights``."""
+    for b in np.flatnonzero(status == UNRESOLVED):
+        found = _vertex(sub[b], f, eps)
+        if not isinstance(found, tuple):
+            status[b] = found
+            continue
+        s = sub[b][None]
+        point = _descend(s, f, q, eps, *found)
+        if point is None:
+            continue
+        w, nu, mu, gamma = point
+        # at the optimum a negative weight or multiplier is a rounded zero
+        # (a degenerate vertex); the certificate checks the clipped answer
+        w, mu, gamma = np.maximum(w, 0.0), np.maximum(mu, 0.0), np.maximum(gamma, 0.0)
+        if _certify(s, f, q, eps, w, nu, mu, gamma)[0]:
+            weights[b] = w[0]
+            status[b] = ACTIVE_SET
+
+
+def _vertex(sub, f, eps):
+    """Optimal vertex of one (K, m) subset's linear part, by a two-phase simplex.
+
+    Columns: the weights (classifier-major), the surpluses of (8) and of (7),
+    then one artificial per row; rows (5), (8), (7). Returns INFEASIBLE when
+    the least total violation phase 1 reaches is more than rounding,
+    UNRESOLVED at the pivot limit, else the vertex's sets: the basic weights
+    (``support``) and the non-basic surpluses (``floor``, ``rowact``).
+    """
+    k, m = sub.shape
+    nw = k * m
+    nv = nw + m + k
+    rows = 2 * m + k
+    kk = np.arange(nw)
+    a = np.zeros((rows, nv + rows))
+    a[kk % m, kk] = 1.0
+    a[m + kk % m, kk] = sub.ravel()
+    a[2 * m + kk // m, kk] = 1.0
+    a[np.arange(m, rows), np.arange(nw, nv)] = -1.0
+    a[np.arange(rows), np.arange(nv, nv + rows)] = 1.0
+    b = np.concatenate([np.ones(m), f, np.full(k, eps)])
+    phase1 = np.zeros(nv + rows)
+    phase1[nv:] = -1.0
+    basis = _bland(a, b, phase1, np.arange(nv, nv + rows))
+    if basis is None:
+        return UNRESOLVED
+    # decided on the basis re-solved, not on values carried across pivots
+    if np.linalg.solve(a[:, basis], b)[basis >= nv].sum() > ROUNDING_TOL:
+        return INFEASIBLE
+    for p in np.flatnonzero(basis >= nv):
+        # an artificial left at zero leaves on the largest entry of its row
+        row = np.linalg.solve(a[:, basis].T, np.eye(rows)[p]) @ a[:, :nv]
+        row[basis[basis < nv]] = 0.0
+        basis[p] = np.argmax(np.abs(row))
+    phase2 = np.concatenate([sub.ravel() / m, np.zeros(m + k)])
+    basis = _bland(a[:, :nv], b, phase2, basis)
+    if basis is None:
+        return UNRESOLVED
+    basic = np.zeros(nv, dtype=bool)
+    basic[basis] = True
+    return basic[:nw].reshape(k, m), ~basic[nw:nw + m], ~basic[nw + m:]
+
+
+def _bland(a, b, cost, basis):
+    """Maximize ``cost.x`` over ``a @ x == b, x >= 0`` from a feasible basis.
+
+    Bland's rule: the lowest-indexed improving column enters, and the
+    lowest-indexed basic column among the ratio-test ties leaves. Every pivot
+    solves the basis afresh, so no rounding carries over. Returns the final
+    basis, or None (pivot limit, singular basis, or no pivot element).
+    """
+    try:
+        for _ in range(MAX_PIVOTS):
+            bmat = a[:, basis]
+            reduced = cost - np.linalg.solve(bmat.T, cost[basis]) @ a
+            reduced[basis] = 0.0
+            enter = np.flatnonzero(reduced > DUAL_TOL)
+            if enter.size == 0:
+                return basis
+            x, col = np.linalg.solve(bmat, np.stack([b, a[:, enter[0]]], axis=1)).T
+            pos = col > PIVOT_TOL
+            if not pos.any():
+                return None
+            ratio = np.full(len(basis), np.inf)
+            ratio[pos] = np.maximum(x[pos], 0.0) / col[pos]
+            ties = np.flatnonzero(ratio == ratio.min())
+            basis[ties[np.argmin(basis[ties])]] = enter[0]
+    except np.linalg.LinAlgError:
+        pass
+    return None
+
+
+def _descend(sub, f, q, eps, support, floor, rowact):
+    """Primal active-set method (Nocedal & Wright 2006, Algorithm 16.3).
+
+    Starts from the vertex whose (K, m) ``support`` and active (8)/(7) rows
+    ``floor``/``rowact`` are given; the working set holds those rows and the
+    weights off the support at zero. Each iteration solves the working set's
+    KKT system. A step that would leave the feasible set stops at the first
+    constraint it meets, which joins the working set; where the step is zero,
+    the first working constraint whose multiplier has the wrong sign leaves
+    it. At q = 0 the optimal vertex is kept as it is. Returns (w, nu, mu,
+    gamma) of the final point, or None (singular system or pivot limit).
+    """
+    _, k, m = sub.shape
+    lower = np.concatenate([f, np.full(k, eps), np.zeros(k * m)])
+
+    def constraints(w):  # (8), (7) and w >= 0 read as ``constraints(w) >= lower``
+        return np.concatenate([(sub * w).sum(axis=1)[0], w.sum(axis=2)[0], w.ravel()])
+
+    working = np.concatenate([floor, rowact, ~support.ravel()])
+    w = None
+    for _ in range(MAX_PIVOTS):
+        floor, rowact = working[:m], working[m:m + k]
+        support = ~working[m + k:].reshape(1, k, m)
+        x, nu, mu, gamma, solved = _solve_kkt(sub, f, q, eps, support, floor[None],
+                                              rowact[None], refine=True)
+        if not solved[0]:
+            return None
+        w = x if w is None else w
+        step = x - w
+        if np.abs(step).max() <= PRIMAL_TOL:
+            tol = DUAL_TOL * (1.0 + 1.0 / m + mu[0])
+            red = _reduced_gradient(sub, q, x, nu, mu, gamma)[0]
+            # the multiplier of a weight held at zero is minus its reduced gradient
+            wrong = working & np.concatenate([mu[0] < -tol, gamma[0] < -DUAL_TOL,
+                                              (red > tol).ravel()])
+            if not wrong.any():
+                return x, nu, mu, gamma
+            w = x
+            working[np.flatnonzero(wrong)[0]] = False
+            continue
+        rate = np.where(working, 0.0, constraints(step))
+        ratio = np.full(rate.size, np.inf)
+        ratio[rate < 0.0] = (np.maximum(constraints(w) - lower, 0.0)[rate < 0.0]
+                             / -rate[rate < 0.0])
+        block = int(np.argmin(ratio))
+        if ratio[block] >= 1.0:
+            w = x
+        else:
+            w = w + ratio[block] * step
+            working[block] = True
+    return None

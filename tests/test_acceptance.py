@@ -34,10 +34,9 @@ from voteopt import (
     wa_pcc,
 )
 from voteopt.cli import main
-from voteopt.optimizer import build_subset_problem
 from voteopt.qpsolve import QpStatus
 
-from conftest import SVM_ROW
+from conftest import SVM_ROW, build_subset_problem
 
 DATA = Path(__file__).parent / "data"
 D2_CSV = str(DATA / "d2_accuracy.csv")

@@ -129,6 +129,11 @@ class TestDifferentialEvolution:
         with pytest.raises(ValueError, match="population"):
             DeParams(population_size=3)
 
+    def test_negative_generations_rejected(self):
+        with pytest.raises(ValueError, match="generations"):
+            DeParams(max_generations=-1)
+        assert DeParams(max_generations=0).max_generations == 0
+
     def test_weights_shared_across_classes(self, d2_matrix):
         w = de_weights(d2_matrix)
         for j in range(1, 5):

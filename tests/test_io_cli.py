@@ -440,6 +440,27 @@ class TestCliOptimizeValidate:
         doc = json.loads(report.read_text())
         assert doc["hyperparams"]["lam"] == 0.96
 
+    def test_config_file_sets_on_off_flags(self, tmp_path):
+        def optimize(config, *extra):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            report = tmp_path / "r.json"
+            code = main(["optimize", "--matrix", D2_CSV, "--k", "8",
+                         "--out-weights", str(tmp_path / "w.csv"),
+                         "--out-report", str(report), "--config", str(cfg), *extra])
+            return code, report
+
+        code, report = optimize({"no-timestamp": True})
+        assert code == 0
+        assert "generated_at" not in json.loads(report.read_text())
+        # an explicit flag wins over the file
+        code, report = optimize({"no-timestamp": False}, "--no-timestamp")
+        assert code == 0
+        assert "generated_at" not in json.loads(report.read_text())
+        code, report = optimize({"no-timestamp": False})
+        assert "generated_at" in json.loads(report.read_text())
+        assert optimize({"no-timestamp": "yes"})[0] == 2
+
     def test_reused_parser_leaks_no_state(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 0.80}))
@@ -490,6 +511,14 @@ class TestCliBaselinesEvaluate:
             assert sel.count == 8
         doc = json.loads((out / "baselines.json").read_text())
         assert set(doc) == {"uw_pc", "uw_pcc", "wa_pc", "wa_pcc", "de", "bma"}
+
+    def test_negative_de_generations_exit_two(self, tmp_path, capsys):
+        code = main([
+            "baselines", "--matrix", D2_CSV, "--k", "8",
+            "--out-dir", str(tmp_path / "schemes"), "--de-gens", "-3",
+        ])
+        assert code == 2
+        assert "generations must be >= 0" in capsys.readouterr().err
 
     def test_evaluate_reports_metrics(self, tmp_path, d2_matrix):
         preds = synthetic_predictions(d2_matrix, 120, seed=5)

@@ -15,10 +15,10 @@ from voteopt import (
     tune_hyperparams,
     validate_constraints,
 )
-from voteopt.optimizer import TIE_TOL, build_subset_problem
+from voteopt.optimizer import TIE_TOL
 from voteopt.qpsolve import QpStatus
 
-from conftest import SVM_ROW, random_accuracy_matrix
+from conftest import SVM_ROW, build_subset_problem, random_accuracy_matrix
 
 EPS = 1e-6
 

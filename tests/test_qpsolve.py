@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 import voteopt
-from voteopt import HyperParams, QpProblem, QpStatus, grid_oracle, solve_qp
-from voteopt.optimizer import build_subset_problem
+from voteopt import HyperParams, QpProblem, QpStatus, grid_oracle, subsetsolve
 from voteopt.qpsolve import _compositions
 
-from conftest import random_accuracy_matrix
+from conftest import build_subset_problem, random_accuracy_matrix
 
 EPS = 1e-6
 
@@ -37,69 +36,48 @@ def two_classifier_floor_problem():
     )
 
 
+# the pool of two_classifier_floor_problem: accuracies 1 and 0 in one class
+FLOOR_POOL = np.array([[1.0], [0.0]])
+
+
+def solve_all(vals, params):
+    """solve_batch on the first ``params.k`` rows of ``vals``."""
+    subsets = np.arange(len(vals))[None, :params.k]
+    return subsetsolve.solve_batch(vals, subsets, params.lam, params.alpha, params.epsilon)
+
+
 class TestSolveQp:
+    """Small weight problems, solved by ``subsetsolve.solve_batch``."""
+
     def test_single_variable(self):
-        sol = solve_qp(single_var_problem())
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.w[0] == pytest.approx(1.0, abs=1e-8)
-        assert sol.objective == pytest.approx(1.0, abs=1e-8)
+        # one selected classifier: its weight is the whole unit simplex
+        batch = solve_all(FLOOR_POOL, HyperParams(k=1, lam=0.0))
+        assert batch.status[0] == subsetsolve.CLOSED_FORM
+        assert batch.weights[0, 0, 0] == 1.0
+        assert batch.objective[0] == 1.0
 
     def test_weak_classifier_pinned_at_floor(self):
-        sol = solve_qp(two_classifier_floor_problem())
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.w == pytest.approx([1.0 - EPS, EPS], abs=1e-7)
+        batch = solve_all(FLOOR_POOL, HyperParams(k=2, lam=0.0))
+        assert batch.weights[0, :, 0] == pytest.approx([1.0 - EPS, EPS], abs=1e-15)
 
     def test_random_3x2_matches_oracle(self, d2_matrix):
         rng = np.random.default_rng(42)
         v = random_accuracy_matrix(rng, n=3, m=2)
         params = HyperParams(k=3, lam=0.9, alpha=0.8)
         problem = build_subset_problem(v, params, (0, 1, 2))
-        sol = solve_qp(problem)
         oracle = grid_oracle(problem, step=0.01)
-        assert sol.status is QpStatus.OPTIMAL
         assert oracle.status is QpStatus.OPTIMAL
-        assert sol.objective == pytest.approx(oracle.objective, abs=1e-3)
-
-    def test_kkt_residuals_reported_within_tol(self):
-        sol = solve_qp(two_classifier_floor_problem(), tol=1e-8)
-        assert sol.kkt_residuals is not None
-        for value in sol.kkt_residuals.values():
-            assert value <= 1e-8
-
-    def test_stationarity_under_exact_reevaluation(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            v = random_accuracy_matrix(rng, n=3, m=2)
-            params = HyperParams(
-                k=2, lam=float(rng.random()), alpha=float(rng.random())
-            )
-            p = build_subset_problem(v, params, (0, 2))
-            sol = solve_qp(p, tol=1e-8)
-            if sol.status is not QpStatus.OPTIMAL:
-                continue
-            grad = 2.0 * p.q * sol.w - p.c
-            resid = grad - p.a_eq.T @ sol.y_eq - p.a_in.T @ sol.z_in - sol.z_bounds
-            assert np.max(np.abs(resid)) <= 1e-7
-
-    def test_infeasible_certificate(self):
-        p = QpProblem.build(
-            q=[0.0], c=[1.0],
-            a_eq=[[1.0]], b_eq=[1.0],
-            a_in=[[1.0]], b_in=[2.0],
-        )
-        sol = solve_qp(p)
-        assert sol.status is QpStatus.INFEASIBLE
-        assert "inequality rows [0]" in sol.certificate
+        assert solve_all(v.values, params).objective[0] == pytest.approx(
+            oracle.objective, abs=1e-3)
 
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(4)
         v = random_accuracy_matrix(rng, n=4, m=3)
-        params = HyperParams(k=3, lam=0.7, alpha=0.6)
-        p = build_subset_problem(v, params, (0, 1, 3))
-        first = solve_qp(p)
-        second = solve_qp(p)
-        assert first.objective == second.objective
-        assert np.array_equal(first.w, second.w)
+        subsets = np.array([[0, 1, 3]])
+        first = subsetsolve.solve_batch(v.values, subsets, 0.7, 0.6, EPS)
+        second = subsetsolve.solve_batch(v.values, subsets, 0.7, 0.6, EPS)
+        assert first.objective[0] == second.objective[0]
+        assert np.array_equal(first.weights, second.weights)
 
     def test_nonconvex_rejected(self):
         with pytest.raises(ValueError, match="non-convex"):
@@ -118,47 +96,13 @@ class TestSolveQp:
             subset = (0, 1, 2, 3)
             masses = []
             for coeff in (0.01, 0.05, 0.2, 0.8):
-                params = HyperParams(k=4, lam=coeff / 0.5, alpha=0.5)
-                sol = solve_qp(build_subset_problem(v, params, subset))
-                assert sol.status is QpStatus.OPTIMAL
-                masses.append(float(sol.w @ sol.w))
+                batch = subsetsolve.solve_batch(v.values, np.array([subset]),
+                                                coeff / 0.5, 0.5, EPS)
+                assert not np.isnan(batch.objective[0])
+                masses.append(float((batch.weights[0] ** 2).sum()))
             for lo, hi in zip(masses, masses[1:]):
                 assert hi <= lo + 1e-6
 
-
-    def test_no_equality_rows_closed_form(self):
-        # separable with one slack inequality: w_i = max(c_i / (2 q_i), 0)
-        q, c = np.array([1.0, 2.0, 0.5]), np.array([1.0, -1.0, 3.0])
-        p = QpProblem.build(q=q, c=c, a_in=[[1.0, 1.0, 1.0]], b_in=[0.5])
-        sol = solve_qp(p)
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.y_eq.shape == (0,)
-        assert sol.w == pytest.approx(np.maximum(c / (2.0 * q), 0.0), abs=1e-7)
-        assert sol.z_in == pytest.approx([0.0], abs=1e-7)
-
-    @pytest.mark.parametrize("problem, iterations, w", [
-        # D2 rows (0, 2, 5) at lam 0.2, alpha 0.99, where the floors bind
-        ("d2", 10, [
-            0.9999999588177516, 0.9999999813547105, 8.150635319303092e-08,
-            0.9999999744777462, 0.004229901669116048, 3.2602611813660547e-08,
-            9.589006016169888e-09, 1.6301305039814217e-08, 1.8112566660369662e-08,
-            0.9957699344357644, 8.579636640521158e-09, 9.056283490007937e-09,
-            0.9999999021923418, 7.409686935736842e-09, 1.6389512096022907e-07]),
-        ("no_eq", 6, [0.4999999983731431, 4.877724163462844e-10, 3.0000000089003036]),
-    ])
-    def test_iterates_pinned(self, d2_matrix, problem, iterations, w):
-        # iteration counts and weights of the interior-point method as it
-        # stood with scalar-loop kernels; the vectorized one must match
-        if problem == "d2":
-            p = build_subset_problem(
-                d2_matrix, HyperParams(k=3, lam=0.2, alpha=0.99), (0, 2, 5))
-        else:
-            p = QpProblem.build(q=[1.0, 2.0, 0.5], c=[1.0, -1.0, 3.0],
-                                a_in=[[1.0, 1.0, 1.0]], b_in=[0.5])
-        sol = solve_qp(p)
-        assert sol.status is QpStatus.OPTIMAL
-        assert sol.iterations == iterations
-        assert np.max(np.abs(sol.w - np.array(w))) <= 1e-12
 
 
 @pytest.mark.parametrize("units, parts",
@@ -192,13 +136,11 @@ class TestGridOracle:
         sol = grid_oracle(single_var_problem(), step=0.01)
         assert sol.status is QpStatus.OPTIMAL
         assert sol.w[0] == pytest.approx(1.0)
-        assert sol.kkt_residuals is None
 
     def test_floor_case_close_to_solver(self):
-        p = two_classifier_floor_problem()
-        fine = grid_oracle(p, step=1e-3)
-        sol = solve_qp(p)
-        assert abs(fine.objective - sol.objective) <= 1e-3
+        fine = grid_oracle(two_classifier_floor_problem(), step=1e-3)
+        batch = solve_all(FLOOR_POOL, HyperParams(k=2, lam=0.0))
+        assert abs(fine.objective - batch.objective[0]) <= 1e-3
 
     def test_contradictory_constraints_infeasible(self):
         p = QpProblem.build(
@@ -224,7 +166,7 @@ class TestGridOracle:
         assert sol.w[1] == pytest.approx(0.5)  # vertex of c*w - w^2 on the grid
 
     def test_oracle_equivalence_random_instances(self):
-        # solve_qp and the grid agree within max(1e-3, 2*step) on every
+        # solve_batch and the grid agree within max(1e-3, 2*step) on every
         # random instance with at most 6 variables
         rng = np.random.default_rng(100)
         step = 0.01
@@ -241,10 +183,10 @@ class TestGridOracle:
                 alpha=float(rng.uniform(0.5, 0.95)),
             )
             p = build_subset_problem(v, params, tuple(range(n)))
-            sol = solve_qp(p)
+            objective = solve_all(v.values, params).objective[0]
             oracle = grid_oracle(p, step=step)
-            if sol.status is QpStatus.OPTIMAL:
+            if not np.isnan(objective):
                 assert oracle.status is QpStatus.OPTIMAL
-                assert abs(sol.objective - oracle.objective) <= max(1e-3, 2 * step)
+                assert abs(objective - oracle.objective) <= max(1e-3, 2 * step)
                 checked += 1
         assert checked >= 15

@@ -1,10 +1,11 @@
 """The batched subset solver: exactness against scipy, certificates, the
-interior-point fallback and its failure modes, the solve counters, and the
+simplex-vertex stage and its failure modes, the solve counters, and the
 branch-and-bound search built on the closed-form bound."""
 
 import functools
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,12 @@ from voteopt import (
     ClassSet,
     ClassifierSet,
     HyperParams,
-    QpStatus,
     SolverIncomplete,
     solve_weighting,
     subsetsolve,
 )
 from voteopt import optimizer
 from voteopt.cli import build_parser, main
-from voteopt.qpsolve import QpSolution
 
 from conftest import D2_VALUES
 
@@ -40,6 +39,8 @@ FEAS = 1e-12
 # default, and the regime where the weight floors (7) bind
 REGIMES = ((0.0, 0.85), (2e-9, 0.0), (2e-4, 0.0), (0.95, 0.85), (0.2, 0.99))
 TINY_Q = (2e-9, 0.0)
+# q > 0, q = 0, and the regime where the floors (7) bind
+BNB_REGIMES = ((0.95, 0.85), (0.0, 0.85), (0.2, 0.99))
 
 
 def _matrix(values):
@@ -112,7 +113,7 @@ def check_against_reference(vals, k, lam, alpha):
     v = _matrix(vals)
     params = HyperParams(k=k, lam=lam, alpha=alpha)
     subsets = all_subsets(vals.shape[0], k)
-    objective, weights, _ = optimizer._solve_subsets(v, params, subsets, 1e-8)
+    objective, weights, _ = optimizer._solve_subsets(v, params, subsets)
     for subset, obj, w in zip(subsets, objective, weights):
         ref = reference_optimum(vals, subset, lam, alpha)
         if ref is None:
@@ -149,16 +150,15 @@ class TestExactness:
         check_against_reference(FAULT_POOL, 5, *regime)
 
     def test_fault_pool_linear_regime_picks_the_optimum(self):
-        # the interior-point solver missed this by 8.2e-9 at its 1e-8 tolerance
+        # an interior-point solve at 1e-8 tolerance missed this by 8.2e-9
         sol = solve_weighting(_matrix(FAULT_POOL), HyperParams(k=5, lam=0.0))
         assert sol.selection.indices == (1, 2, 5, 7, 9)
-        assert sol.stats.ipm_fallback == 0
+        assert sol.stats.closed_form + sol.stats.screened == sol.stats.enumerated
 
     def test_d2_paper_defaults_need_no_fallback(self):
         v = _matrix(D2_VALUES)
         for k in range(2, 9):
             stats = solve_weighting(v, HyperParams(k=k)).stats
-            assert stats.ipm_fallback == 0
             assert stats.closed_form + stats.screened == stats.enumerated
 
     def test_floor_binding_regime_is_counted(self):
@@ -167,7 +167,7 @@ class TestExactness:
         assert stats.enumerated == 252
         assert stats.active_set > 0
         assert (stats.screened + stats.closed_form + stats.active_set
-                + stats.ipm_fallback) == stats.enumerated
+                + stats.infeasible) == stats.enumerated
 
     def test_lifted_floor_closed_form(self):
         # one class whose unconstrained projection misses the floor (8):
@@ -211,39 +211,211 @@ def _everything_unresolved(real):
     return solve_batch
 
 
+def _stage_3_only(monkeypatch):
+    """Stages 1 and 2 certify nothing, so every live subset reaches stage 3."""
+    def zeros(sub, *args):  # (w, nu, mu, gamma) that no certificate accepts
+        batch, k, m = sub.shape
+        return (np.zeros(sub.shape), np.zeros((batch, m)), np.zeros((batch, m)),
+                np.zeros((batch, k)))
+
+    monkeypatch.setattr(subsetsolve, "_linear", zeros)
+    monkeypatch.setattr(subsetsolve, "_projection", lambda *args: zeros(*args)[:3])
+    monkeypatch.setattr(subsetsolve, "_active_set",
+                        lambda sub, *args: (np.zeros(sub.shape), np.zeros(len(sub), bool)))
+
+
 class TestFallback:
     def test_fallback_is_counted_and_agrees_to_its_tolerance(self, monkeypatch):
+        # the simplex vertex and the primal active-set steps from it reach
+        # the optima stages 1 and 2 find, on every D2 subset
         v = _matrix(D2_VALUES)
-        params = HyperParams(k=4)
-        direct = solve_weighting(v, params)
-        monkeypatch.setattr(subsetsolve, "solve_batch",
-                            _everything_unresolved(subsetsolve.solve_batch))
-        fallback = solve_weighting(v, params)
-        assert fallback.stats.ipm_fallback == 70 - direct.stats.screened
-        assert fallback.stats.closed_form == 0
-        assert fallback.selection.indices == direct.selection.indices
-        # the interior-point answer is only as good as its 1e-8 tolerance
-        assert fallback.objective.total == pytest.approx(
-            direct.objective.total, abs=1e-7)
+        params = [HyperParams(k=4, lam=lam, alpha=alpha) for lam, alpha in BNB_REGIMES]
+        direct = [solve_weighting(v, p) for p in params]
+        _stage_3_only(monkeypatch)
+        for p, d in zip(params, direct):
+            fallback = solve_weighting(v, p)
+            assert fallback.stats.active_set == 70 - d.stats.screened
+            assert fallback.stats.closed_form == 0
+            assert fallback.selection.indices == d.selection.indices
+            for a, b in zip(fallback.subset_rank, d.subset_rank):
+                assert a.subset == b.subset
+                assert a.objective == pytest.approx(b.objective, abs=1e-12)
 
     def test_non_converged_fallback_raises(self, monkeypatch):
-        def stuck(problem, tol=1e-8, max_iter=200):
-            return QpSolution(w=np.zeros(problem.n_vars), objective=0.0,
-                              status=QpStatus.MAX_ITERATIONS, iterations=max_iter)
-
+        # a subset solve_batch leaves unresolved stops the solve, naming it
         monkeypatch.setattr(subsetsolve, "solve_batch",
                             _everything_unresolved(subsetsolve.solve_batch))
-        monkeypatch.setattr(optimizer, "solve_qp", stuck)
         with pytest.raises(SolverIncomplete, match=r"subset \(0, 1, 2\)") as info:
             solve_weighting(_matrix(D2_VALUES), HyperParams(k=3))
         assert info.value.subset == (0, 1, 2)
 
 
+# Knife-edge pools at lam = 0: the q = 0 closed form misses a floor (8) by
+# about 1e-9, so these subsets reach stage 3.
+KNIFE_4X2 = np.array([[0.501, 0.9], [0.5, 0.1], [0.5, 0.1], [0.502995994, 0.1]])
+KNIFE_4X1 = np.array([[0.501], [0.4], [0.4], [0.702996]])
+
+
+def knife_edge_pool(rng):
+    """A pool whose first K rows sit on a knife edge at lam = 0.
+
+    Row 0 tops every class. In 1..m classes it is ``a + d`` and the other
+    K - 1 subset rows lie within d/2 of ``a``, so each takes its eps of (7)
+    there at a cost near d; the equal rows outside the subset put the floor
+    (8) a budget B in [0, 2(K-1) eps d] below row 0, about what those eps
+    cost. Elsewhere row 0 is in [0.9, 1] and the other rows at most 0.6.
+    """
+    k = int(rng.integers(2, 7))
+    n = k + int(rng.integers(1, 4))
+    m = int(rng.integers(1, 5))
+    vals = rng.uniform(0.0, 0.6, size=(n, m))
+    vals[0] = rng.uniform(0.9, 1.0, size=m)
+    for j in rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False):
+        a = rng.uniform(0.3, 0.8)
+        d = float(rng.choice([1e-3, 1e-4, 1e-5]))
+        vals[0, j] = a + d
+        vals[1:k, j] = a + rng.uniform(-d / 2, d / 2, size=k - 1)
+        budget = rng.uniform(0.0, 2 * (k - 1) * EPS * d)
+        vals[k:, j] = (n * (vals[0, j] - budget - EPS) - vals[:k, j].sum()) / (n - k)
+    return vals, k
+
+
+def assert_lp_optimal(vals, subset, w, eps=EPS):
+    """Check a q = 0 answer without the solver's certificate.
+
+    Feasibility to 1e-12 in exact arithmetic. Multipliers of (5), (8) and
+    (7) by least squares on the support and the tight rows; with mu, gamma
+    clipped to >= 0 they give the dual bound
+    ``sum_j max_i((1/m + mu_j) v_ij + gamma_i) - mu.f - eps sum(gamma)``,
+    which must meet the objective: a zero duality gap.
+    """
+    sub = vals[list(subset)]
+    k, m = sub.shape
+    v = [[Fraction(x) for x in row] for row in sub]
+    x = [[Fraction(y) for y in row] for row in w]
+    f = [sum(map(Fraction, col)) / len(vals) + Fraction(eps) for col in vals.T]
+    cols = [sum(x[i][j] for i in range(k)) for j in range(m)]
+    acc = [sum(v[i][j] * x[i][j] for i in range(k)) - f[j] for j in range(m)]
+    rows = [sum(x[i]) - Fraction(eps) for i in range(k)]
+    assert w.min() >= 0.0
+    assert max(abs(c - 1) for c in cols) <= FEAS
+    assert min(acc) >= -FEAS and min(rows) >= -FEAS
+
+    floor = np.array([a <= 1e-14 for a in acc])
+    rowact = np.array([r <= 1e-14 for r in rows])
+    eqs, rhs = [], []
+    for i, j in zip(*np.nonzero(w > 0.0)):
+        e = np.zeros(2 * m + k)
+        e[j] = 1.0
+        e[m + j] = -sub[i, j] * floor[j]
+        e[2 * m + i] = -1.0 * rowact[i]
+        eqs.append(e)
+        rhs.append(sub[i, j] / m)
+    y = np.linalg.lstsq(np.array(eqs), np.array(rhs), rcond=None)[0]
+    mu, gamma = y[m:2 * m] * floor, y[2 * m:] * rowact
+    assert mu.min() >= -1e-9 and gamma.min() >= -1e-9
+    mu_q = [Fraction(z) for z in np.maximum(mu, 0.0)]
+    gamma_q = [Fraction(z) for z in np.maximum(gamma, 0.0)]
+    bound = (sum(max((Fraction(1, m) + mu_q[j]) * v[i][j] + gamma_q[i] for i in range(k))
+                 for j in range(m))
+             - sum(mu_q[j] * f[j] for j in range(m)) - Fraction(eps) * sum(gamma_q))
+    primal = sum(v[i][j] * x[i][j] for i in range(k) for j in range(m)) / m
+    assert abs(float(bound - primal)) <= FEAS * (1.0 + mu.max())
+
+
+def assert_lp_infeasible(vals, subset, eps=EPS):
+    """Prove (5), (7), (8) inconsistent in exact arithmetic.
+
+    For mu >= 0 and gamma_i = min_j mu_j (M_j - v_ij) (M_j the column
+    maximum), every feasible w has ``sum_j max_i(mu_j v_ij + gamma_i) >=
+    mu.f + eps sum(gamma)``, so the reverse inequality is a certificate.
+    HiGHS picks mu on a scaled copy in which the margin is of order one.
+    """
+    sub = vals[list(subset)]
+    k, m = sub.shape
+    f = vals.mean(axis=0) + eps
+    cost = sub.max(axis=0) - sub
+    scale = cost.max()
+    # maximize sum(r) - mu.(M - f)/(eps scale), r_i <= mu_j cost_ij/scale, sum(mu) = 1
+    a_ub = np.zeros((k * m, m + k))
+    for i, j in itertools.product(range(k), range(m)):
+        a_ub[i * m + j, j] = -cost[i, j] / scale
+        a_ub[i * m + j, m + i] = 1.0
+    res = scipy_optimize.linprog(
+        np.concatenate([(sub.max(axis=0) - f) / (eps * scale), -np.ones(k)]),
+        A_ub=a_ub, b_ub=np.zeros(k * m), A_eq=[[1.0] * m + [0.0] * k], b_eq=[1.0],
+        bounds=[(0, None)] * m + [(None, None)] * k, method="highs")
+    assert res.status == 0, res.message
+    mu = [Fraction(z) for z in np.maximum(res.x[:m], 0.0)]
+    v = [[Fraction(x) for x in row] for row in sub]
+    top = [max(v[i][j] for i in range(k)) for j in range(m)]
+    gamma = [min(mu[j] * (top[j] - v[i][j]) for j in range(m)) for i in range(k)]
+    reach = sum(max(mu[j] * v[i][j] + gamma[i] for i in range(k)) for j in range(m))
+    assert reach < sum(mu[j] * Fraction(f[j]) for j in range(m)) + Fraction(eps) * sum(gamma)
+
+
+class TestVertexStage:
+    def test_4x2_pool_certified_at_its_optimum(self):
+        batch = subsetsolve.solve_batch(KNIFE_4X2, np.array([[0, 1, 2]]), 0.0, 0.85, EPS)
+        assert batch.status[0] == subsetsolve.ACTIVE_SET
+        assert batch.objective[0] == pytest.approx(0.7004997992500052, abs=1e-12)
+        assert_lp_optimal(KNIFE_4X2, (0, 1, 2), batch.weights[0])
+        # HiGHS only as a coarse check: at its 1e-7 tolerance it is 2e-7 off
+        ref = reference_optimum(KNIFE_4X2, (0, 1, 2), 0.0, 0.85)
+        assert ref == pytest.approx(batch.objective[0], abs=1e-6)
+
+    def test_4x1_pool_reported_infeasible(self):
+        # infeasible by 2.1e-7, but no class floor exceeds every member
+        subset = np.array([[0, 1, 2]])
+        batch = subsetsolve.solve_batch(KNIFE_4X1, subset, 0.0, 0.85, EPS)
+        assert batch.status[0] == subsetsolve.INFEASIBLE
+        assert np.isnan(batch.objective[0])
+        assert_lp_infeasible(KNIFE_4X1, (0, 1, 2))
+        assert reference_optimum(KNIFE_4X1, (0, 1, 2), 0.0, 0.85) is None
+        stats = optimizer._solve_subsets(_matrix(KNIFE_4X1), HyperParams(k=3, lam=0.0),
+                                         all_subsets(4, 3))[2]
+        assert stats.infeasible == 1
+        assert stats.screened + stats.closed_form + stats.infeasible == stats.enumerated
+
+    def test_knife_edge_pools_end_certified_or_infeasible(self):
+        rng = np.random.default_rng(0)
+        reached = 0
+        for _ in range(3000):
+            vals, k = knife_edge_pool(rng)
+            subset = tuple(range(k))
+            objective, weights, stats = optimizer._solve_subsets(
+                _matrix(vals), HyperParams(k=k, lam=0.0), np.array([subset]))
+            if stats.active_set:
+                assert_lp_optimal(vals, subset, weights[0])
+            elif stats.infeasible:
+                assert_lp_infeasible(vals, subset)
+            reached += stats.active_set + stats.infeasible
+        assert reached >= 1000
+
+    @pytest.mark.parametrize("regime", REGIMES[1:])
+    def test_knife_edge_pools_with_a_penalty(self, regime):
+        # q > 0: stage 2 stalls on a singular system here; the primal
+        # active-set steps from the vertex reach the optimum
+        rng = np.random.default_rng(1)
+        reached = 0
+        for _ in range(100):
+            vals, k = knife_edge_pool(rng)
+            subset = (tuple(range(k)),)
+            objective, weights, stats = optimizer._solve_subsets(
+                _matrix(vals), HyperParams(k=k, lam=regime[0], alpha=regime[1]),
+                np.array(subset))
+            if stats.active_set:
+                assert_feasible(vals, subset[0], weights[0])
+                ref = reference_optimum(vals, subset[0], *regime)
+                assert objective[0] >= ref - 1e-6
+            reached += stats.active_set + stats.infeasible
+        assert reached >= 25
+
+
 class TestNodeLimit:
     def test_library_raises(self):
         with pytest.raises(SolverIncomplete, match="3 nodes"):
-            optimizer._solve_bnb(_matrix(D2_VALUES), HyperParams(k=4), 1e-8,
-                                 max_nodes=3)
+            optimizer._solve_bnb(_matrix(D2_VALUES), HyperParams(k=4), max_nodes=3)
 
     def test_cli_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(optimizer, "_solve_bnb",
@@ -269,7 +441,7 @@ def test_optimize_report_carries_diagnostics(tmp_path):
     diagnostics = json.loads(report.read_text())["diagnostics"]
     assert diagnostics == {
         "enumerated": 70, "screened": 7, "closed_form": 63,
-        "active_set": 0, "ipm_fallback": 0, "nodes": 0, "pruned": 0,
+        "active_set": 0, "infeasible": 0, "nodes": 0, "pruned": 0,
     }
 
 
@@ -283,10 +455,6 @@ def test_bnb_report_counts_nodes(tmp_path):
     diagnostics = json.loads(report.read_text())["diagnostics"]
     assert diagnostics["nodes"] > 0
     assert diagnostics["enumerated"] < 70
-
-
-# q > 0, q = 0, and the regime where the floors (7) bind
-BNB_REGIMES = ((0.95, 0.85), (0.0, 0.85), (0.2, 0.99))
 
 
 class TestBranchAndBound:
