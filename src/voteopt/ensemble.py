@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ClassSet, PredictionSet, WeightMatrix
 from .metrics import (
+    _BLOCK,
     ConfusionMatrix,
     MetricsReport,
-    _class_scores,
+    _AuprcScratch,
+    _check_weights,
+    _nonzero_into,
+    _sorted_auprc,
     balanced_accuracy,
-    binary_auprc,
     per_class_prf,
 )
+
+# Instances per worker: a set of fewer than twice this many is scored on
+# the calling thread alone. Measured on 2 CPUs, two workers cut an evaluate
+# by 30-40% from 40,000 rows up while the second CPU is free; while another
+# process keeps it busy they cost 3-21% up to 100,000 rows and save 10-13%
+# from 200,000 rows.
+_ROWS_PER_WORKER = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,11 +63,37 @@ def predict_batch(
     weights: WeightMatrix, preds: PredictionSet
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``predict`` over a prediction set -> (class indices, tie flags)."""
-    return _votes(_class_scores(preds, weights))
+    _, predicted, ties = _score_and_vote(preds, weights, _workers(len(preds)))
+    return predicted, ties
 
 
-def _votes(ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vote and exact-tie flag of each instance from class-major (m, N) scores.
+def _score_and_vote(
+    preds: PredictionSet, weights: WeightMatrix, workers: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class-major (m, N) ensemble scores, and each instance's vote and
+    exact-tie flag, computed ``_BLOCK`` instances at a time on ``workers``.
+
+    The einsum sums each instance's classifiers in the same order whatever
+    the block, so the scores have the same bits as one einsum over all rows.
+    """
+    _check_weights(preds, weights)
+    rows = len(preds)
+    ct = np.empty((preds.classes.m, rows))
+    predicted = np.empty(rows, dtype=np.intp)
+    ties = np.empty(rows, dtype=bool)
+
+    def block(b, _):
+        at = slice(b * _BLOCK, (b + 1) * _BLOCK)
+        np.einsum("tij,ij->tj", preds.scores[at], weights.w, out=ct[:, at].T)
+        _vote(ct[:, at], predicted[at], ties[at])
+
+    _split(-(-rows // _BLOCK), workers, block)
+    return ct, predicted, ties
+
+
+def _vote(ct: np.ndarray, predicted: np.ndarray, ties: np.ndarray) -> None:
+    """Write each instance's vote and exact-tie flag from class-major (m, N)
+    scores into ``predicted`` and ``ties``.
 
     The vote is the lowest class holding the instance's maximum, as
     ``argmax`` gives, found by comparing each class row with the maximum.
@@ -66,14 +104,69 @@ def _votes(ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best = ct.max(axis=0)
     eq = ct == best
     # counted in the narrowest unsigned type that holds the class count
-    ties = eq.sum(axis=0, dtype=np.min_scalar_type(len(ct))) > 1
-    predicted = np.zeros(best.shape, dtype=np.intp)
+    np.greater(eq.sum(axis=0, dtype=np.min_scalar_type(len(ct))), 1, out=ties)
+    # every instance whose maximum is not NaN equals some class
     for j in range(len(ct) - 1, -1, -1):
-        predicted = np.where(eq[j], j, predicted)
+        np.copyto(predicted, j, where=eq[j])
     nan = np.isnan(best)
     if nan.any():
         predicted[nan] = ct[:, nan].argmax(axis=0)
-    return predicted, ties
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _workers(rows: int) -> int:
+    """Workers for a set of ``rows`` instances: one per CPU, at most one per
+    ``_ROWS_PER_WORKER`` instances, and at least one."""
+    return max(1, min(_cpus(), rows // _ROWS_PER_WORKER))
+
+
+def _split(items: int, workers: int, work) -> None:
+    """Run ``work(item, share)`` for items 0..items-1 on ``workers`` shares.
+
+    Share 0 is the calling thread and each other share a helper thread
+    started here; all are joined before this returns or raises. A share
+    claims the lowest unclaimed item whenever it is free, so a share that
+    starts late or runs slowly takes fewer. Once an item has failed none is
+    claimed; every lower item was claimed before it and runs to its end, so
+    the lowest item's failure is raised, as a loop over the items in order
+    would raise it.
+    """
+    lock = threading.Lock()
+    todo = iter(range(items))
+    failures = {}
+
+    def run(share):
+        while True:
+            with lock:
+                item = None if failures else next(todo, None)
+            if item is None:
+                return
+            try:
+                work(item, share)
+            except Exception as exc:  # raised on the calling thread below
+                with lock:
+                    failures[item] = exc
+                return
+
+    helpers = []
+    try:
+        for share in range(1, workers):
+            helper = threading.Thread(target=run, args=(share,))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
 
 
 def evaluate(
@@ -97,28 +190,55 @@ def evaluate(
     class's AUPRC adds trapezoids only at thresholds holding a positive:
     every other term is exactly ``0.0`` (see ``binary_auprc``), so the
     report is the same to the bit as a full trapezoid sum.
+
+    A large set is split over the CPUs this process may run on
+    (``os.sched_getaffinity``, else ``os.cpu_count()``), with one worker per
+    ``_ROWS_PER_WORKER`` instances at most: the scores and votes by blocks
+    of instances, AUPRC by class. The calling thread is one worker; the
+    others are threads started for this call and joined before it returns
+    or raises. Every buffer as long as the set is allocated on the calling
+    thread. Each instance's and class's arithmetic is the same whichever
+    worker does it, so the report is the same to the bit for any worker
+    count, and an error is the one that one worker would raise first.
     """
     if len(preds) == 0:
         raise ValueError("prediction set is empty")
     classes = classes or preds.classes
     if classes.names != preds.classes.names:
         raise ValueError("class set does not match the prediction set")
-    ct = _class_scores(preds, weights)
-    predicted, ties = _votes(ct)
+    workers = _workers(len(preds))
+    ct, predicted, ties = _score_and_vote(preds, weights, workers)
     cm = ConfusionMatrix.from_predictions(
         preds.true_classes, predicted, classes.m, classes.names
     )
+    tie_count = int(ties.sum())
+    del predicted, ties  # AUPRC's buffers may take their memory
     bal_acc = balanced_accuracy(cm)
     prf = per_class_prf(cm)
+    support = cm.counts.sum(axis=1)
 
     if include_auprc:
-        auprc_values = [binary_auprc(ct[j], preds.true_classes == j)
-                        for j in range(classes.m)]
+        shares = min(workers, classes.m)
+        scratch = [_AuprcScratch(len(preds), int(support.max()))
+                   for _ in range(shares)]
+        auprc_values = [0.0] * classes.m
+
+        def class_auprc(j, share):
+            # gather class j's scores, then sort them and its row in place;
+            # mode="clip" (the indices are in range) writes out unbuffered
+            buf, p = scratch[share], int(support[j])
+            np.equal(preds.true_classes, j, out=buf.flags)
+            _nonzero_into(buf.flags, buf.first)
+            hits = np.take(ct[j], buf.first[:p], out=buf.hits[:p], mode="clip")
+            hits.sort()
+            ct[j].sort()
+            auprc_values[j] = _sorted_auprc(ct[j], hits, buf)
+
+        _split(classes.m, shares, class_auprc)
         macro_auprc_value = float(np.mean(auprc_values))
     else:
         macro_auprc_value = None
 
-    support = cm.counts.sum(axis=1)
     per_class = {}
     for j, name in enumerate(classes.names):
         entry = {
@@ -139,5 +259,5 @@ def evaluate(
         macro_auprc=macro_auprc_value,
         per_class=per_class,
         zero_precision_classes=prf.zero_precision_classes,
-        tie_count=int(ties.sum()),
+        tie_count=tie_count,
     )

@@ -143,31 +143,108 @@ def binary_auprc(scores: np.ndarray, positive: np.ndarray) -> float:
             f"binary_auprc: {scores.size} scores but {positive.size} positive flags"
         )
     hits = np.sort(np.compress(positive, scores))
-    p_total = hits.size
-    if p_total == 0:
+    if hits.size == 0:
         raise ValueError("binary_auprc requires at least one positive instance")
-    ascending = np.sort(scores)
+    return _sorted_auprc(np.sort(scores), hits, _AuprcScratch(scores.size, hits.size))
+
+
+# Entries handled per step where a pass would otherwise make a temporary as
+# long as its input: 2**14 indices are 128 kB.
+_BLOCK = 1 << 14
+
+
+class _AuprcScratch:
+    """Buffers for ``_sorted_auprc`` on up to ``n`` scores and ``p`` positives,
+    with room in ``hits`` for a caller to gather the positive scores.
+
+    One set serves any number of calls in turn, so a caller scoring many
+    classes allocates it once; each call writes only the prefixes it uses.
+    """
+
+    def __init__(self, n: int, p: int):
+        self.flags = np.empty(n, dtype=bool)
+        self.first = np.empty(n + 1, dtype=np.intp)
+        self.area = np.empty(n)
+        self.hits = np.empty(p)
+        self.starts = np.empty(p + 1, dtype=np.intp)
+
+
+def _run_starts(values: np.ndarray, flags: np.ndarray, out: np.ndarray) -> int:
+    """Write where each run of equal sorted ``values`` starts, then their
+    count, into ``out``, and return the number of runs. ``flags`` is scratch."""
+    n = values.size
+    flags = flags[:n]
+    flags[0] = True
+    np.not_equal(values[1:], values[:-1], out=flags[1:])
+    count = _nonzero_into(flags, out)
+    out[count] = n
+    return count
+
+
+def _nonzero_into(flags: np.ndarray, out: np.ndarray) -> int:
+    """Write the indices of the true ``flags`` into ``out``; return their count.
+
+    The indices are found ``_BLOCK`` flags at a time, so no temporary holds
+    more than a block's.
+    """
+    count = 0
+    for lo in range(0, flags.size, _BLOCK):
+        at = np.flatnonzero(flags[lo:lo + _BLOCK])
+        np.add(at, lo, out=out[count:count + at.size])
+        count += at.size
+    return count
+
+
+def _sorted_auprc(ascending: np.ndarray, hits: np.ndarray, scratch: _AuprcScratch) -> float:
+    """``binary_auprc`` from the sorted scores and the sorted positive scores
+    (at least one), computed in ``scratch``. It overwrites ``ascending``.
+
+    It allocates only temporaries of at most ``_BLOCK`` entries: positive
+    thresholds are taken a block at a time, each term on its own as in one
+    pass, so the area array, and its sum, are the same to the bit.
+    """
     if np.isnan(ascending[-1]):  # the sort puts NaN last
         raise ValueError("binary_auprc: scores contain NaN")
-    n = scores.size
-    # where each distinct score starts and ends in the sorted scores
-    first = np.flatnonzero(np.concatenate(([True], ascending[1:] != ascending[:-1])))
-    ends = np.append(first[1:], n)
-    # each distinct positive score, the positives at or above it and above
-    # it, and its threshold
-    starts = np.flatnonzero(np.concatenate(([True], hits[1:] != hits[:-1])))
-    tp = p_total - starts
-    tp_above = p_total - np.append(starts[1:], p_total)
-    group = np.searchsorted(ascending[first], hits[starts])
-    precision = tp / (n - first[group])
-    # above the top threshold: recall 0 at the top threshold's precision
-    above = n - ends[group]
-    precision_above = np.divide(tp_above, above, out=precision.copy(), where=above > 0)
+    n, p_total = ascending.size, hits.size
+    # where each distinct score starts in the sorted scores, then n
+    k = _run_starts(ascending, scratch.flags, scratch.first)
+    first = scratch.first[:k + 1]
+    # the distinct scores, moved to the front of ascending a block at a
+    # time: first[i] >= i, so a block reads only what no earlier block wrote
+    # (take buffers an out that overlaps its input)
+    for lo in range(0, k, _BLOCK):
+        hi = min(lo + _BLOCK, k)
+        np.take(ascending, first[lo:hi], out=ascending[lo:hi])
+    distinct = ascending[:k]
+    # where each distinct positive score starts in the sorted hits, then p_total
+    starts = scratch.starts[:_run_starts(hits, scratch.flags, scratch.starts) + 1]
     # the sweep runs from the highest threshold down
-    area = np.zeros(first.size)
-    area[first.size - 1 - group] = (tp / p_total - tp_above / p_total) * (
-        precision_above + precision) / 2.0
+    area = scratch.area[:k]
+    area.fill(0.0)
+    for lo in range(0, starts.size - 1, _BLOCK):
+        hi = min(lo + _BLOCK, starts.size - 1)
+        at = starts[lo:hi]
+        # the positives at or above each distinct positive score and above
+        # it, and its threshold
+        tp = p_total - at
+        tp_above = p_total - starts[lo + 1:hi + 1]
+        group = np.searchsorted(distinct, hits[at])
+        precision = tp / (n - first[group])
+        # above the top threshold: recall 0 at the top threshold's precision
+        above = n - first[group + 1]
+        precision_above = np.divide(tp_above, above, out=precision.copy(),
+                                    where=above > 0)
+        area[k - 1 - group] = (tp / p_total - tp_above / p_total) * (
+            precision_above + precision) / 2.0
     return float(np.sum(area))
+
+
+def _check_weights(preds: PredictionSet, weights: WeightMatrix) -> None:
+    if weights.w.shape != (preds.classifiers.n, preds.classes.m):
+        raise ValueError(
+            f"weight shape {weights.w.shape} does not match predictions "
+            f"({preds.classifiers.n} classifiers, {preds.classes.m} classes)"
+        )
 
 
 def _class_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:
@@ -178,11 +255,7 @@ def _class_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:
     The einsum writes through the transpose, so ``ensemble_scores`` (that
     transpose) has the same bits as the einsum into a fresh (N, m) array.
     """
-    if weights.w.shape != (preds.classifiers.n, preds.classes.m):
-        raise ValueError(
-            f"weight shape {weights.w.shape} does not match predictions "
-            f"({preds.classifiers.n} classifiers, {preds.classes.m} classes)"
-        )
+    _check_weights(preds, weights)
     ct = np.empty((preds.classes.m, preds.scores.shape[0]))
     np.einsum("tij,ij->tj", preds.scores, weights.w, out=ct.T)
     return ct

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -99,7 +99,8 @@ class SolveStats:
     pruned: int = 0
 
     def __add__(self, other: "SolveStats") -> "SolveStats":
-        return SolveStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+        return SolveStats(**{f.name: getattr(self, f.name) + getattr(other, f.name)
+                             for f in fields(SolveStats)})
 
 
 @dataclass(frozen=True)

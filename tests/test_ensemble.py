@@ -1,7 +1,14 @@
+import contextlib
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voteopt import (
     ClassSet,
@@ -11,6 +18,7 @@ from voteopt import (
     evaluate,
     predict,
 )
+from voteopt import ensemble, metrics
 from voteopt.ensemble import predict_batch
 from voteopt.metrics import (
     ConfusionMatrix,
@@ -377,3 +385,169 @@ class TestAuprcEdgeCases:
         got = binary_auprc(scores, positive)
         want = argsort_auprc(finite, positive)
         assert float_bytes(got) == float_bytes(want)
+
+
+@contextlib.contextmanager
+def worker_count(count, block=5):
+    """Make evaluate use ``count`` workers on any set of ``count`` rows or
+    more, with blocks of ``block`` instances, so test-sized sets take the
+    threaded path with several blocks per worker."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "_cpus", lambda: count)
+        mp.setattr(ensemble, "_ROWS_PER_WORKER", 1)
+        mp.setattr(ensemble, "_BLOCK", block)
+        mp.setattr(metrics, "_BLOCK", block)
+        yield
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+SCORE_VALUES = (0.0, -0.0, 0.25, 0.5, 1.0, -0.5)
+
+
+@st.composite
+def tied_sets(draw):
+    """Small prediction sets full of ties: scores from a few values with
+    both zeros, sometimes all one value; every class present, those outside
+    ``common`` with a single positive; weights with zeros and repeats."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    rows = draw(st.integers(m, 40))
+    common = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    truth = list(range(m)) + draw(
+        st.lists(st.sampled_from(common), min_size=rows - m, max_size=rows - m))
+    truth = np.array(truth)[draw(st.permutations(range(rows)))]
+    if draw(st.booleans()):
+        scores = np.full((rows, n, m), draw(st.sampled_from(SCORE_VALUES)))
+    else:
+        scores = draw(hnp.arrays(np.float64, (rows, n, m),
+                                 elements=st.sampled_from(SCORE_VALUES)))
+    weights = draw(hnp.arrays(np.float64, (n, m),
+                              elements=st.sampled_from((0.0, 0.5, 1.0, 3.0))))
+    return make_predictions(scores, truth, n, m), WeightMatrix(weights)
+
+
+def nan_set():
+    """Rows whose class-1 or class-2 scores overflow to NaN under weights of
+    1e10; class 1 has 3 positives, class 2 has 5."""
+    big = 1e308
+    rows = [([1, big, 2], [0, -big, 0])] * 4 + [([1, 1, big], [0, 0, -big])] * 8
+    truth = [0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 2]
+    return make_predictions(rows, truth, 2, 3), WeightMatrix(np.full((2, 3), 1e10))
+
+
+class TestWorkerInvariance:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tied_sets())
+    def test_report_bytes_equal_for_every_worker_count(self, case):
+        preds, w = case
+        want = reference_evaluate(w, preds).as_dict()
+        assert float_bytes(evaluate(w, preds).as_dict()) == float_bytes(want)
+        for count in (1, 2, 3):
+            with worker_count(count):
+                got = evaluate(w, preds).as_dict()
+            assert float_bytes(got) == float_bytes(want), count
+
+    @pytest.mark.parametrize("preds, weights", list(oracle_sets())[:1])
+    def test_oracle_set_with_more_workers_than_cpus(self, preds, weights):
+        # a lost or doubled block claim would leave scores unwritten
+        w = WeightMatrix(weights[1])
+        want = float_bytes(evaluate(w, preds).as_dict())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with worker_count(8, block=64):
+                got = float_bytes(evaluate(w, preds).as_dict())
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_nan_error_is_the_lowest_class_one(self, monkeypatch):
+        core = ensemble._sorted_auprc
+
+        def tagged(ascending, hits, scratch):
+            if hits.size == 3:
+                time.sleep(0.05)  # so that class 2 fails first
+            try:
+                return core(ascending, hits, scratch)
+            except ValueError as exc:
+                raise ValueError(f"{exc}: {hits.size} positives") from None
+
+        monkeypatch.setattr(ensemble, "_sorted_auprc", tagged)
+        preds, w = nan_set()
+        for count in (1, 2, 3):
+            with worker_count(count), np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="contain NaN: 3 positives$"):
+                    evaluate(w, preds)
+
+    def test_shape_mismatch_raises_before_any_thread(self, thread_starts):
+        preds = make_predictions(np.ones((30, 2, 3)), np.arange(30) % 3, 2, 3)
+        with worker_count(3), pytest.raises(ValueError, match="weight shape"):
+            evaluate(WeightMatrix(np.ones((2, 2))), preds)
+        assert thread_starts == []
+
+    def test_threads_joined_after_return_and_raise(self, thread_starts):
+        rng = np.random.default_rng(52)
+        preds = make_predictions(rng.random((60, 2, 3)), np.arange(60) % 3, 2, 3)
+        w = WeightMatrix(rng.random((2, 3)))
+        before = threading.active_count()
+        with worker_count(3):
+            evaluate(w, preds)
+            assert threading.active_count() == before
+            nan_preds, nan_w = nan_set()
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="NaN"):
+                evaluate(nan_w, nan_preds)
+            assert threading.active_count() == before
+        assert len(thread_starts) == 8  # two helpers in each of the four splits
+        assert not any(t.is_alive() for t in thread_starts)
+
+    def test_small_set_starts_no_thread(self, thread_starts):
+        # paper_sweep's 4,000-row evaluates run on one worker
+        rng = np.random.default_rng(53)
+        preds = make_predictions(rng.random((4000, 8, 5)), np.arange(4000) % 5, 8, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "_cpus", lambda: 64)
+            evaluate(WeightMatrix(rng.random((8, 5))), preds)
+        assert thread_starts == []
+
+    def test_cpu_count_where_affinity_is_missing(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert ensemble._cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ensemble._cpus() == 1
+
+    def test_scratch_core_reused_across_distinct_counts(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK", 3)
+        rng = np.random.default_rng(54)
+        size = 400
+        scratch = metrics._AuprcScratch(size, size)
+        # distinct counts from about 400 down to 1 and up again
+        for levels in (None, 64, 4, 1, 2, 16, None):
+            if levels is None:
+                scores = rng.random(size)
+            else:
+                scores = np.floor(rng.random(size) * levels) / levels
+                scores[scores == 0.0] = rng.choice([-0.0, 0.0], int((scores == 0.0).sum()))
+            positive = rng.random(size) < 0.2
+            positive[rng.integers(size)] = True
+            got = metrics._sorted_auprc(np.sort(scores), np.sort(scores[positive]), scratch)
+            assert float_bytes(got) == float_bytes(binary_auprc(scores, positive))
+            assert float_bytes(got) == float_bytes(argsort_auprc(scores, positive))
+            one = np.zeros(size, dtype=bool)
+            one[rng.integers(size)] = True
+            got = metrics._sorted_auprc(np.sort(scores), scores[one], scratch)
+            assert float_bytes(got) == float_bytes(argsort_auprc(scores, one))
