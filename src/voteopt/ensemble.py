@@ -15,6 +15,7 @@ from .metrics import (
     MetricsReport,
     _AuprcScratch,
     _check_weights,
+    _class_major,
     _nonzero_into,
     _sorted_auprc,
     balanced_accuracy,
@@ -78,7 +79,7 @@ def _score_and_vote(
     """
     _check_weights(preds, weights)
     rows = len(preds)
-    ct = np.empty((preds.classes.m, rows))
+    ct = _class_major(preds.classes.m, rows)
     predicted = np.empty(rows, dtype=np.intp)
     ties = np.empty(rows, dtype=bool)
 

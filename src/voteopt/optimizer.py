@@ -48,6 +48,11 @@ VALIDATION_TOL = 1e-6
 # subsets solved per batch: memory stays flat for any C(n, K), and batch
 # temporaries stay small enough that the allocator returns them
 CHUNK = 128
+# open nodes branch-and-bound expands per step once it has an incumbent; their
+# children fit one CHUNK (8 to 256 measured, see the README)
+FRONTIER = CHUNK // 2
+# method="auto" enumerates up to this many subsets, the measured crossover
+ENUMERATE_MAX = 500
 
 
 class AllSubsetsInfeasible(RuntimeError):
@@ -85,8 +90,9 @@ class SolveStats:
     ``closed_form`` and ``active_set`` were solved and certified by the
     batched kernel (``active_set`` counts the simplex-chosen vertices too),
     and ``infeasible`` were proven infeasible after screening; the four sum
-    to ``enumerated``. Branch-and-bound expanded ``nodes`` nodes and
-    discarded ``pruned`` by their bound or as infeasible; both are 0 under
+    to ``enumerated``. Branch-and-bound expanded ``nodes`` nodes, discarded
+    ``pruned`` by their bound or as infeasible, and made ``bound_calls``
+    calls to ``subsetsolve.relaxed_objective``; all three are 0 under
     enumeration.
     """
 
@@ -97,6 +103,7 @@ class SolveStats:
     infeasible: int = 0
     nodes: int = 0
     pruned: int = 0
+    bound_calls: int = 0
 
     def __add__(self, other: "SolveStats") -> "SolveStats":
         return SolveStats(**{f.name: getattr(self, f.name) + getattr(other, f.name)
@@ -227,13 +234,13 @@ def solve_weighting(
 ) -> MipSolution:
     """Globally optimal selection + weights for ensemble size ``params.k``.
 
-    method: "enumerate" solves every C(n, K) subset (the default below 21
-    classifiers), "bnb" runs best-first branch-and-bound on a per-class
-    top-K bound, "auto" picks between them. Of the subsets whose objectives
-    lie within TIE_TOL (1e-9) of the best, the lexicographically smallest
-    wins; branch-and-bound reaches every such subset, so both methods pick
-    the same one. ``workers`` is accepted for compatibility and has no
-    effect: enumeration is one batched pass.
+    method: "enumerate" solves every C(n, K) subset, "bnb" runs best-first
+    branch-and-bound on a per-class top-K bound, and "auto" enumerates up
+    to ENUMERATE_MAX (500) subsets and runs branch-and-bound above that.
+    Of the subsets whose objectives lie within TIE_TOL (1e-9) of the best,
+    the lexicographically smallest wins; branch-and-bound reaches every
+    such subset, so both methods pick the same one. ``workers`` is accepted
+    for compatibility and has no effect: enumeration is one batched pass.
 
     Raises AllSubsetsInfeasible when no subset admits feasible weights and
     SolverIncomplete when a subset's optimum cannot be certified.
@@ -244,7 +251,9 @@ def solve_weighting(
     if method not in ("auto", "enumerate", "bnb"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "enumerate" if n <= 20 else "bnb"
+        # enumeration takes pools of at most 30 classifiers
+        small = n <= 30 and math.comb(n, params.k) <= ENUMERATE_MAX
+        method = "enumerate" if small else "bnb"
     if method == "bnb":
         return _solve_bnb(v, params)
 
@@ -291,72 +300,96 @@ def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
     drops (7); see ``subsetsolve.relaxed_objective``. Moving weight to a
     higher accuracy keeps the floor (8) and cannot lower a class's value,
     and dropping (7) can only raise it, so the bound holds for every
-    completion of the node. Nodes are pruned only below the incumbent by
-    more than TIE_TOL, so every subset within TIE_TOL of the best is solved
-    and the tie rule picks the subset enumeration picks.
+    completion of the node. Until it solves a feasible leaf the search dives,
+    one node at a time and include first; then each step expands up to
+    ``FRONTIER`` best open nodes, bounds all their children in one call and
+    solves the leaves they determine in one batch. Nodes are pruned only
+    below the incumbent by more than TIE_TOL, so every subset within TIE_TOL
+    of the best is solved and the tie rule picks the subset enumeration
+    picks.
     """
     vals = v.values
     n, k = v.n, params.k
     f = vals.mean(axis=0) + params.epsilon
-    order = [int(i) for i in np.argsort(-vals.sum(axis=1), kind="stable")]
-    # per depth d, each class column of the undecided rows order[d:], descending
-    tops = [-np.sort(-vals[order[d:]], axis=0) for d in range(n + 1)]
+    order = np.argsort(-vals.sum(axis=1), kind="stable")
+    # the rows of vals, then from row start[d] each class column of the
+    # undecided rows order[d:], descending
+    src = np.concatenate([vals] + [-np.sort(-vals[order[d:]], axis=0)
+                                   for d in range(n + 1)])
+    start = n + np.cumsum([0] + list(range(n, 0, -1)))
+    order = np.concatenate([order, np.zeros(k, dtype=np.intp)])
+    pos = np.arange(k)
     counter = itertools.count()
-    heap = []  # (-bound, tie-break, included rows, depth)
+    # open nodes (-bound, tie-break, included rows in decision order and
+    # padded to k, count included, depth): a stack while diving, then a heap
+    frontier = [(-math.inf, next(counter), pos, 0, 0)]
     leaves = []  # (objective, subset, weights) of every feasible leaf
     explored: list[SubsetResult] = []
     stats = SolveStats()
     incumbent = -math.inf
-    nodes = pruned = 0
+    nodes = pruned = bound_calls = 0
 
-    def add(children):
-        """Bound (included, depth) children; solve the determined, queue the rest."""
-        nonlocal stats, incumbent, pruned
-        cols = np.stack([np.concatenate([vals[list(inc)], tops[d][:k - len(inc)]])
-                         for inc, d in children])
-        bounds = subsetsolve.relaxed_objective(cols, f, params.lam, params.alpha)
-        open_, subsets = [], []
-        for (inc, d), bound in zip(children, bounds.tolist()):
-            if bound == -math.inf or bound < incumbent - TIE_TOL:
-                pruned += 1
-            elif len(inc) == k:
-                subsets.append(tuple(sorted(inc)))
-            elif len(inc) + n - d == k:
-                subsets.append(tuple(sorted(inc + tuple(order[d:]))))
-            else:
-                open_.append((bound, inc, d))
-        if subsets:
-            objective, weights, leaf_stats = _solve_subsets(
-                v, params, np.array(subsets, dtype=np.intp))
+    while frontier:
+        diving = incumbent == -math.inf
+        if diving:
+            batch = [frontier.pop()]
+        else:
+            batch = []
+            while frontier and len(batch) < FRONTIER:
+                node = heapq.heappop(frontier)
+                if -node[0] < incumbent - TIE_TOL:
+                    pruned += 1
+                else:
+                    batch.append(node)
+        if not batch:
+            break
+        nodes += len(batch)
+        if nodes > max_nodes:
+            raise SolverIncomplete(
+                f"branch-and-bound exceeded {max_nodes} nodes before closing "
+                "the search"
+            )
+        inc = np.array([node[2] for node in batch])
+        count, depth = np.array([node[3:] for node in batch]).T
+        # the children: each node without its next row, then each with it
+        inc = np.concatenate([inc, inc])
+        inc[np.arange(len(batch), 2 * len(batch)), count] = order[depth]
+        count = np.concatenate([count, count + 1])
+        depth = np.concatenate([depth, depth]) + 1
+        fits = count + n - depth >= k  # false only at the root, for n = K
+        inc, count, depth = inc[fits], count[fits], depth[fits]
+        taken, rest = pos < count[:, None], pos - count[:, None]
+        bounds = subsetsolve.relaxed_objective(
+            src[np.where(taken, inc, start[depth][:, None] + rest)],
+            f, params.lam, params.alpha)
+        bound_calls += 1
+        # a leaf holds K rows, or needs every undecided row to reach K
+        leaf = (bounds >= incumbent - TIE_TOL) & ((count == k) | (count + n - depth == k))
+        if leaf.any():
+            subsets = np.where(taken, inc, order[depth[:, None] + rest])[leaf]
+            subsets.sort(axis=1)
+            objective, weights, leaf_stats = _solve_subsets(v, params, subsets)
             stats += leaf_stats
-            for subset, obj, w in zip(subsets, objective.tolist(), weights):
+            for subset, obj, w in zip(map(tuple, subsets.tolist()), objective.tolist(),
+                                      weights):
                 if math.isnan(obj):
                     explored.append(SubsetResult(subset, QpStatus.INFEASIBLE, None))
                 else:
                     explored.append(SubsetResult(subset, QpStatus.OPTIMAL, obj))
                     leaves.append((obj, subset, w))
                     incumbent = max(incumbent, obj)
-        for bound, inc, d in open_:
-            if bound < incumbent - TIE_TOL:
-                pruned += 1
+        keep = np.flatnonzero(~leaf & (bounds >= incumbent - TIE_TOL)).tolist()
+        pruned += len(bounds) - int(np.count_nonzero(leaf)) - len(keep)
+        for b in keep:
+            node = (-bounds[b], next(counter), inc[b], count[b], depth[b])
+            if diving:
+                frontier.append(node)
             else:
-                heapq.heappush(heap, (-bound, next(counter), inc, d))
+                heapq.heappush(frontier, node)
+        if diving and incumbent > -math.inf:
+            heapq.heapify(frontier)
 
-    add([((), 0)])
-    while heap:
-        neg_bound, _, inc, d = heapq.heappop(heap)
-        if -neg_bound < incumbent - TIE_TOL:
-            pruned += 1
-            continue
-        nodes += 1
-        if nodes > max_nodes:
-            raise SolverIncomplete(
-                f"branch-and-bound exceeded {max_nodes} nodes before closing "
-                "the search"
-            )
-        add([(inc + (order[d],), d + 1), (inc, d + 1)])
-
-    stats = replace(stats, nodes=nodes, pruned=pruned)
+    stats = replace(stats, nodes=nodes, pruned=pruned, bound_calls=bound_calls)
     explored.sort(key=lambda r: r.subset)
     if not leaves:
         raise AllSubsetsInfeasible(

@@ -159,19 +159,16 @@ def solve_batch(vals, subsets, lam, alpha, eps) -> SubsetBatch:
 # --- stage 1: closed forms ----------------------------------------------------
 
 
-def _at(arr, r):
-    """``arr[b, r[b, j] - 1, j]`` for a (B, K, m) array and (B, m) sizes."""
-    return np.take_along_axis(arr, (r - 1)[:, None, :], axis=1)[:, 0, :]
-
-
 def _projection(sub, f, q):
     """Every class problem with (7) dropped, for q > 0.
 
     Returns the weights and the multipliers (nu, mu) of (5) and (8).
     """
     batch, k, m = sub.shape
+    # (batch, class) index grids: arr[b, r - 1, j] is entry r of every column
+    b, j = np.arange(batch)[:, None], np.arange(m)
     order = np.argsort(-sub, axis=1, kind="stable")
-    u = np.take_along_axis(sub, order, axis=1)
+    u = sub[b[:, None], order, j]
     # Running mean, centred sum of squares (Welford) and d_r = sum_{i<=r}
     # (u_i - u_r) over the sorted column. proj(a*u) keeps the r largest
     # entries exactly when a*d_r < 1, and on that support
@@ -188,7 +185,8 @@ def _projection(sub, f, q):
 
     a0 = 1.0 / (2.0 * q * m)
     size = np.count_nonzero(a0 * d < 1.0, axis=1)
-    lift = a0 * _at(var, size) + _at(mean, size) < f
+    top = (b, size - 1, j)
+    lift = a0 * var[top] + mean[top] < f
     if lift.any():
         # v.w at the low end a = 1/d_{r+1} of each support size's piece; it
         # does not increase with r, so the root lies on the first piece
@@ -197,20 +195,20 @@ def _projection(sub, f, q):
         with np.errstate(divide="ignore", invalid="ignore"):
             low = np.where(d_next > 0.0, var / d_next + mean, np.inf)
             r_root = 1 + np.argmax(low <= f[None, None, :], axis=1)
-            v_root = _at(var, r_root)
-            a_root = np.where(v_root > 0.0, (f - _at(mean, r_root)) / v_root,
-                              1.0 / _at(d_next, r_root))
+            root = (b, r_root - 1, j)
+            v_root = var[root]
+            a_root = np.where(v_root > 0.0, (f - mean[root]) / v_root, 1.0 / d_next[root])
         a = np.where(lift, a_root, a0)
         size = np.where(lift, r_root, size)
     else:
         a = np.full((batch, m), a0)
-    mean_s = _at(mean, size)
+    mean_s = mean[b, size - 1, j]
     # a*(u - mean) + 1/r, not a*u - theta: the latter cancels as q -> 0
     ws = a[:, None, :] * (u - mean_s[:, None, :]) + 1.0 / size[:, None, :]
     inside = np.arange(k)[None, :, None] < size[:, None, :]
     ws = np.where(inside, np.maximum(ws, 0.0), 0.0)
     w = np.empty_like(ws)
-    np.put_along_axis(w, order, ws, axis=1)
+    w[b[:, None], order, j] = ws
     mu = np.where(lift, np.maximum(2.0 * q * a - 1.0 / m, 0.0), 0.0)
     nu = (1.0 / m + mu) * mean_s - 2.0 * q / size
     return w, nu, mu
@@ -224,11 +222,11 @@ def _linear(sub, eps):
     for a row that ties a maximum). Returns weights and (nu, mu, gamma).
     """
     batch, k, m = sub.shape
-    b = np.arange(batch)[:, None]
+    b, j = np.arange(batch)[:, None], np.arange(m)
     holder = np.argmax(sub, axis=1)
-    vmax = np.take_along_axis(sub, holder[:, None, :], axis=1)[:, 0, :]
+    vmax = sub[b, holder, j]
     w = np.zeros_like(sub)
-    w[b, holder, np.arange(m)] = 1.0
+    w[b, holder, j] = 1.0
     holds = np.zeros((batch, k), dtype=bool)
     holds[b, holder] = True
     loss = vmax[:, None, :] - sub

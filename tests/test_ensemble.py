@@ -551,3 +551,17 @@ class TestWorkerInvariance:
             one[rng.integers(size)] = True
             got = metrics._sorted_auprc(np.sort(scores), scores[one], scratch)
             assert float_bytes(got) == float_bytes(argsort_auprc(scores, one))
+
+
+def test_class_major_scores_padded_off_page_multiples():
+    # 2**17 rows: unpadded, the class rows would sit exactly 1 MiB apart
+    rows = 1 << 17
+    rng = np.random.default_rng(55)
+    preds = make_predictions(rng.random((rows, 4, 3)), np.arange(rows) % 3, 4, 3)
+    w = WeightMatrix(rng.random((4, 3)))
+    scores = metrics.ensemble_scores(preds, w)
+    assert np.array_equal(scores, np.einsum("tij,ij->tj", preds.scores, w.w))
+    assert scores.strides[1] % 4096 != 0
+    ct, _, _ = ensemble._score_and_vote(preds, w, 1)
+    assert np.array_equal(ct.T, scores)
+    assert ct.strides[0] % 4096 != 0

@@ -5,6 +5,7 @@ branch-and-bound search built on the closed-form bound."""
 import functools
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -442,6 +443,7 @@ def test_optimize_report_carries_diagnostics(tmp_path):
     assert diagnostics == {
         "enumerated": 70, "screened": 7, "closed_form": 63,
         "active_set": 0, "infeasible": 0, "nodes": 0, "pruned": 0,
+        "bound_calls": 0,
     }
 
 
@@ -455,6 +457,7 @@ def test_bnb_report_counts_nodes(tmp_path):
     diagnostics = json.loads(report.read_text())["diagnostics"]
     assert diagnostics["nodes"] > 0
     assert diagnostics["enumerated"] < 70
+    assert 0 < diagnostics["bound_calls"] < diagnostics["nodes"]
 
 
 class TestBranchAndBound:
@@ -518,6 +521,31 @@ class TestBranchAndBound:
         assert auto.stats.nodes > 0  # routed to branch-and-bound
         enum = solve_weighting(v, params, method="enumerate")
         assert auto.selection.indices == enum.selection.indices
+
+
+def _seeded_pool(n, seed=0):
+    return _matrix(np.clip(0.7 + 0.3 * np.random.default_rng(seed).random((n, 5)), 0, 1))
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("regime", BNB_REGIMES)
+    def test_selection_and_objective_bits_match_enumeration(self, regime):
+        cases = [(_matrix(D2_VALUES), k) for k in range(2, 9)] + [(_seeded_pool(16), 8)]
+        for v, k in cases:
+            params = HyperParams(k=k, lam=regime[0], alpha=regime[1])
+            enum = solve_weighting(v, params, method="enumerate")
+            bnb = solve_weighting(v, params, method="bnb")
+            assert bnb.selection.indices == enum.selection.indices, k
+            assert bnb.objective.total == enum.objective.total, k
+            assert bnb.stats.bound_calls <= bnb.stats.nodes
+
+    def test_auto_routes_by_subset_count(self):
+        assert solve_weighting(_seeded_pool(20), HyperParams(k=10)).stats.nodes > 0
+        cases = [(_matrix(D2_VALUES), k) for k in range(1, 9)] + [(_seeded_pool(11), 5)]
+        for v, k in cases:
+            stats = solve_weighting(v, HyperParams(k=k)).stats
+            assert (stats.nodes, stats.bound_calls) == (0, 0)
+            assert stats.enumerated == math.comb(v.n, k)
 
 
 def _old_rank_key(r):
