@@ -48,8 +48,7 @@ VALIDATION_TOL = 1e-6
 # subsets solved per batch: memory stays flat for any C(n, K), and batch
 # temporaries stay small enough that the allocator returns them
 CHUNK = 128
-# open nodes branch-and-bound expands per step once it has an incumbent; their
-# children fit one CHUNK (8 to 256 measured, see the README)
+# most open nodes a branch-and-bound step expands: their children fit one CHUNK
 FRONTIER = CHUNK // 2
 # method="auto" enumerates up to this many subsets, the measured crossover
 ENUMERATE_MAX = 500
@@ -301,22 +300,22 @@ def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
     higher accuracy keeps the floor (8) and cannot lower a class's value,
     and dropping (7) can only raise it, so the bound holds for every
     completion of the node. Until it solves a feasible leaf the search dives,
-    one node at a time and include first; then each step expands up to
-    ``FRONTIER`` best open nodes, bounds all their children in one call and
-    solves the leaves they determine in one batch. Nodes are pruned only
-    below the incumbent by more than TIE_TOL, so every subset within TIE_TOL
-    of the best is solved and the tie rule picks the subset enumeration
-    picks.
+    one node at a time and include first; then each step expands the best
+    open nodes, 1, 2, 4, ... up to ``FRONTIER``, bounds all their children in
+    one call and solves the leaves they determine in one batch. Nodes are
+    pruned when infeasible or below the incumbent by more than TIE_TOL, so
+    every subset within TIE_TOL of the best is solved and the tie rule picks
+    the subset enumeration picks.
     """
     vals = v.values
     n, k = v.n, params.k
     f = vals.mean(axis=0) + params.epsilon
     order = np.argsort(-vals.sum(axis=1), kind="stable")
-    # the rows of vals, then from row start[d] each class column of the
-    # undecided rows order[d:], descending
-    src = np.concatenate([vals] + [-np.sort(-vals[order[d:]], axis=0)
-                                   for d in range(n + 1)])
-    start = n + np.cumsum([0] + list(range(n, 0, -1)))
+    # the rows of vals, then from row n (d + 1) each class column of the
+    # undecided rows order[d:], descending, padded to n rows by -inf
+    undecided = np.argsort(order)[:, None] >= np.arange(n + 1)[:, None, None]
+    tops = -np.sort(np.where(undecided, -vals, np.inf), axis=1)
+    src = np.concatenate([vals, tops.reshape(-1, vals.shape[1])])
     order = np.concatenate([order, np.zeros(k, dtype=np.intp)])
     pos = np.arange(k)
     counter = itertools.count()
@@ -327,7 +326,7 @@ def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
     explored: list[SubsetResult] = []
     stats = SolveStats()
     incumbent = -math.inf
-    nodes = pruned = bound_calls = 0
+    nodes, pruned, bound_calls, step = 0, 0, 0, 1
 
     while frontier:
         diving = incumbent == -math.inf
@@ -335,12 +334,13 @@ def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
             batch = [frontier.pop()]
         else:
             batch = []
-            while frontier and len(batch) < FRONTIER:
+            while frontier and len(batch) < step:
                 node = heapq.heappop(frontier)
                 if -node[0] < incumbent - TIE_TOL:
                     pruned += 1
                 else:
                     batch.append(node)
+            step = min(2 * step, FRONTIER)
         if not batch:
             break
         nodes += len(batch)
@@ -349,23 +349,31 @@ def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
                 f"branch-and-bound exceeded {max_nodes} nodes before closing "
                 "the search"
             )
-        inc = np.array([node[2] for node in batch])
-        count, depth = np.array([node[3:] for node in batch]).T
         # the children: each node without its next row, then each with it
-        inc = np.concatenate([inc, inc])
-        inc[np.arange(len(batch), 2 * len(batch)), count] = order[depth]
-        count = np.concatenate([count, count + 1])
-        depth = np.concatenate([depth, depth]) + 1
-        fits = count + n - depth >= k  # false only at the root, for n = K
-        inc, count, depth = inc[fits], count[fits], depth[fits]
+        inc = np.array([node[2] for node in batch] * 2)
+        count, depth = np.array([node[3:] for node in batch] * 2).T
+        half = np.arange(len(batch), 2 * len(batch))
+        inc[half, count[half]] = order[depth[half]]
+        count[half] += 1
+        depth += 1
+        lo = int(count[0] + n - depth[0] < k)  # 1 only at the root, for n = K
+        inc, count, depth = inc[lo:], count[lo:], depth[lo:]
         taken, rest = pos < count[:, None], pos - count[:, None]
         bounds = subsetsolve.relaxed_objective(
-            src[np.where(taken, inc, start[depth][:, None] + rest)],
+            src[np.where(taken, inc, n * depth[:, None] + n + rest)],
             f, params.lam, params.alpha)
         bound_calls += 1
-        # a leaf holds K rows, or needs every undecided row to reach K
-        leaf = (bounds >= incumbent - TIE_TOL) & ((count == k) | (count + n - depth == k))
-        if leaf.any():
+        leaf = []
+        push = frontier.append if diving else lambda node: heapq.heappush(frontier, node)
+        for b, (bound, c, d) in enumerate(zip(bounds.tolist(), count.tolist(),
+                                              depth.tolist())):
+            if bound == -math.inf or bound < incumbent - TIE_TOL:
+                pruned += 1
+            elif c == k or c + n - d == k:  # K rows, or needs every undecided row
+                leaf.append(b)
+            else:
+                push((-bound, next(counter), inc[b], c, d))
+        if leaf:
             subsets = np.where(taken, inc, order[depth[:, None] + rest])[leaf]
             subsets.sort(axis=1)
             objective, weights, leaf_stats = _solve_subsets(v, params, subsets)
@@ -378,14 +386,6 @@ def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
                     explored.append(SubsetResult(subset, QpStatus.OPTIMAL, obj))
                     leaves.append((obj, subset, w))
                     incumbent = max(incumbent, obj)
-        keep = np.flatnonzero(~leaf & (bounds >= incumbent - TIE_TOL)).tolist()
-        pruned += len(bounds) - int(np.count_nonzero(leaf)) - len(keep)
-        for b in keep:
-            node = (-bounds[b], next(counter), inc[b], count[b], depth[b])
-            if diving:
-                frontier.append(node)
-            else:
-                heapq.heappush(frontier, node)
         if diving and incumbent > -math.inf:
             heapq.heapify(frontier)
 

@@ -539,6 +539,22 @@ class TestBatchedSearch:
             assert bnb.objective.total == enum.objective.total, k
             assert bnb.stats.bound_calls <= bnb.stats.nodes
 
+    def test_infeasible_pool_closes_at_the_root(self):
+        # every class floor exceeds every entry: both children of the root
+        # are bounded -inf and pruned, so the search closes after one node
+        with pytest.raises(AllSubsetsInfeasible):
+            optimizer._solve_bnb(_matrix(np.full((40, 2), 0.7)), HyperParams(k=20),
+                                 max_nodes=10)
+
+    def test_subsets_bounded_infeasible_are_not_solved(self):
+        # the include-first leaf, rows 0-2, is below the class-1 floor
+        vals = np.array([[1.0, 0.0]] * 3 + [[0.45, 0.45]] * 3)
+        bnb = solve_weighting(_matrix(vals), HyperParams(k=3), method="bnb")
+        enum = solve_weighting(_matrix(vals), HyperParams(k=3), method="enumerate")
+        assert bnb.selection.indices == enum.selection.indices
+        assert enum.stats.screened > 0
+        assert bnb.stats.screened == 0
+
     def test_auto_routes_by_subset_count(self):
         assert solve_weighting(_seeded_pool(20), HyperParams(k=10)).stats.nodes > 0
         cases = [(_matrix(D2_VALUES), k) for k in range(1, 9)] + [(_seeded_pool(11), 5)]
