@@ -52,7 +52,7 @@ from .optimizer import (
     tune_hyperparams,
     validate_constraints,
 )
-from .qpsolve import QpProblem, QpSolution, QpStatus, grid_oracle
+from .qpsolve import QpStatus
 from .sampling import (
     ResamplePlan,
     StepPlan,
@@ -83,8 +83,6 @@ __all__ = [
     "MipSolution",
     "ObjectiveBreakdown",
     "PredictionSet",
-    "QpProblem",
-    "QpSolution",
     "QpStatus",
     "ResamplePlan",
     "SelectionVector",
@@ -100,7 +98,6 @@ __all__ = [
     "de_weights",
     "enumerate_subsets",
     "evaluate",
-    "grid_oracle",
     "imbalance_ratio",
     "improvement_pct",
     "macro_auprc",

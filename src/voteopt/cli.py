@@ -61,7 +61,7 @@ METRIC_FIELDS = (
 
 
 # on/off flags default to None, not False, so that a config file can set them
-FLAGS = ("no_timestamp", "no_auprc", "deterministic")
+FLAGS = ("no_timestamp", "no_auprc")
 
 
 def _merge_config(args: argparse.Namespace) -> None:
@@ -76,8 +76,12 @@ def _merge_config(args: argparse.Namespace) -> None:
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"{args.config}: unknown setting {key!r}")
-        if attr in FLAGS and not isinstance(value, bool):
-            raise ValueError(f"{args.config}: {key!r} must be true or false")
+        if attr in FLAGS:
+            if not isinstance(value, bool):
+                raise ValueError(f"{args.config}: {key!r} must be true or false")
+        elif isinstance(value, (bool, list, dict)):
+            raise ValueError(
+                f"{args.config}: {key!r} must be a string, a number or null")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
 
@@ -94,7 +98,6 @@ def _hyperparams(args: argparse.Namespace) -> HyperParams:
         lam=float(args.lam),
         alpha=float(args.alpha),
         epsilon=float(args.epsilon),
-        big_m=float(args.big_m),
     )
 
 
@@ -122,7 +125,7 @@ def _constraint_payload(report) -> list[dict]:
 
 
 def cmd_optimize(args) -> int:
-    _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6, big_m=1e6, method="auto")
+    _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6, method="auto")
     v = io.read_accuracy_matrix(args.matrix)
     params = _hyperparams(args)
     solution = solve_weighting(v, params, method=args.method)
@@ -134,7 +137,7 @@ def cmd_optimize(args) -> int:
     payload = {
         "hyperparams": {
             "k": params.k, "lam": params.lam, "alpha": params.alpha,
-            "epsilon": params.epsilon, "big_m": params.big_m,
+            "epsilon": params.epsilon,
         },
         "selected": [
             v.classifiers.names[i] for i in solution.selection.indices
@@ -241,8 +244,7 @@ def cmd_resample(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    _fill(args, lam0=0.95, alpha0=0.85, dlam=0.01, dalpha=0.01,
-          epsilon=1e-6, big_m=1e6)
+    _fill(args, lam0=0.95, alpha0=0.85, dlam=0.01, dalpha=0.01, epsilon=1e-6)
     v = io.read_accuracy_matrix(args.matrix)
     preds = io.read_predictions(args.predictions, v.classifiers, v.classes)
 
@@ -254,7 +256,7 @@ def cmd_tune(args) -> int:
         start=(float(args.lam0), float(args.alpha0)),
         steps=(float(args.dlam), float(args.dalpha)),
         score=score,
-        epsilon=float(args.epsilon), big_m=float(args.big_m),
+        epsilon=float(args.epsilon),
     )
     payload = {
         "lam": result.lam,
@@ -271,7 +273,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6, big_m=1e6,
+    _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6,
           de_pop=50, de_gens=200, de_f=0.8, de_cr=0.9, de_seed=30)
     v = io.read_accuracy_matrix(args.matrix)
     preds = io.read_predictions(args.predictions, v.classifiers, v.classes)
@@ -287,7 +289,7 @@ def cmd_sweep(args) -> int:
     }
     for k in ks:
         params = HyperParams(k=k, lam=float(args.lam), alpha=float(args.alpha),
-                             epsilon=float(args.epsilon), big_m=float(args.big_m))
+                             epsilon=float(args.epsilon))
         mip = solve_weighting(v, params)
         mip_report = evaluate(mip.weights, preds)
         for scheme in SCHEMES:
@@ -310,7 +312,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6, big_m=1e6, tol=1e-6)
+    _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6, tol=1e-6)
     v = io.read_accuracy_matrix(args.matrix)
     weights, selection, classifiers, classes = io.read_weight_matrix(args.weights)
     if classifiers.names != v.classifiers.names:
@@ -319,7 +321,7 @@ def cmd_validate(args) -> int:
         raise ValueError("weight file classes do not match the accuracy matrix")
     k = int(args.k) if args.k is not None else selection.count
     params = HyperParams(k=max(k, 1), lam=float(args.lam), alpha=float(args.alpha),
-                         epsilon=float(args.epsilon), big_m=float(args.big_m))
+                         epsilon=float(args.epsilon))
     report = validate_constraints(v, weights, selection, params,
                                   tol=float(args.tol))
     for check in report.checks:
@@ -344,16 +346,13 @@ def _add_common(sub, *, workers=False, de=False, hyper=False):
     sub.add_argument("--no-timestamp", action="store_true", default=None,
                      help="omit the timestamp line from reports")
     if workers:
-        # kept so existing command lines and config files still parse
+        # still passed by existing scripts (the benchmark harness among them)
         sub.add_argument("--workers", type=int, default=None,
-                         help="accepted for compatibility; has no effect")
-        sub.add_argument("--deterministic", action="store_true", default=None,
                          help="accepted for compatibility; has no effect")
     if hyper:
         sub.add_argument("--lam", type=float, default=None)
         sub.add_argument("--alpha", type=float, default=None)
         sub.add_argument("--epsilon", type=float, default=None)
-        sub.add_argument("--big-m", dest="big_m", type=float, default=None)
     if de:
         sub.add_argument("--de-pop", dest="de_pop", type=int, default=None)
         sub.add_argument("--de-gens", dest="de_gens", type=int, default=None)
@@ -416,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dlam", type=float, default=None)
     p.add_argument("--dalpha", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--big-m", dest="big_m", type=float, default=None)
     _add_common(p, workers=True)
     p.set_defaults(func=cmd_tune)
 

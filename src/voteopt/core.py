@@ -153,18 +153,15 @@ class AccuracyMatrix:
 class HyperParams:
     """Knobs of the weighting model.
 
-    ``epsilon`` must stay well below the unit-scaled accuracies and weights,
-    ``big_m`` well above them; the defaults separate cleanly for any
-    realistic class count. No solver uses ``big_m``: it enters only the
-    literal check of (7) in ``validate_constraints``, and is kept (with the
-    ``--big-m`` flag) for compatibility.
+    ``epsilon`` must stay well below the unit-scaled accuracies and weights.
+    There is no big-M knob: M changes no result, and ``validate_constraints``
+    checks (7) at the constant ``optimizer.BIG_M``.
     """
 
     k: int
     lam: float = 0.95
     alpha: float = 0.85
     epsilon: float = 1e-6
-    big_m: float = 1e6
 
     def __post_init__(self):
         if self.k < 1:
@@ -175,8 +172,6 @@ class HyperParams:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.epsilon <= 1e-3:
             raise ValueError(f"epsilon must be in (0, 1e-3], got {self.epsilon}")
-        if self.big_m < 1e3:
-            raise ValueError(f"big_m must be >= 1e3, got {self.big_m}")
 
     @property
     def l2_coeff(self) -> float:

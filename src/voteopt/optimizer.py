@@ -52,6 +52,10 @@ CHUNK = 128
 FRONTIER = CHUNK // 2
 # method="auto" enumerates up to this many subsets, the measured crossover
 ENUMERATE_MAX = 500
+# M of the literal (7) check in validate_constraints; no solver uses it. With
+# binary x and w >= 0 an unselected row's gap eps - rowsum - M is <= 0 for
+# any M >= 1e-3 >= eps, so M changes neither the verdict nor the violation.
+BIG_M = 1e6
 
 
 class AllSubsetsInfeasible(RuntimeError):
@@ -226,10 +230,7 @@ def _solution(v, params, winner, results, stats) -> MipSolution:
 
 
 def solve_weighting(
-    v: AccuracyMatrix,
-    params: HyperParams,
-    workers: int = 1,
-    method: str = "auto",
+    v: AccuracyMatrix, params: HyperParams, method: str = "auto"
 ) -> MipSolution:
     """Globally optimal selection + weights for ensemble size ``params.k``.
 
@@ -238,8 +239,8 @@ def solve_weighting(
     to ENUMERATE_MAX (500) subsets and runs branch-and-bound above that.
     Of the subsets whose objectives lie within TIE_TOL (1e-9) of the best,
     the lexicographically smallest wins; branch-and-bound reaches every
-    such subset, so both methods pick the same one. ``workers`` is accepted
-    for compatibility and has no effect: enumeration is one batched pass.
+    such subset, so both methods pick the same one. Enumeration solves the
+    subsets CHUNK (128) at a time on the calling thread.
 
     Raises AllSubsetsInfeasible when no subset admits feasible weights and
     SolverIncomplete when a subset's optimum cannot be certified.
@@ -457,7 +458,7 @@ def validate_constraints(
         f"classifier {clf[i]}"
     ))
 
-    floor_gap = params.epsilon - (row_sums + params.big_m * (1.0 - x))
+    floor_gap = params.epsilon - (row_sums + BIG_M * (1.0 - x))
     i = int(np.argmax(floor_gap))
     checks.append(ConstraintCheck(
         7, "selected-weight-floor", bool(floor_gap[i] <= tol),
@@ -497,8 +498,6 @@ def tune_hyperparams(
     steps: tuple[float, float],
     score,
     epsilon: float = 1e-6,
-    big_m: float = 1e6,
-    workers: int = 1,
 ) -> TuneResult:
     """Coordinate-wise hill climb over (lam, alpha).
 
@@ -506,7 +505,6 @@ def tune_hyperparams(
     step down, and keeps stepping in the first direction that strictly
     improves ``score(weights)``; it stops at the first non-improvement.
     lam stays >= 0 and alpha inside [0, 1]. ``score`` must be deterministic.
-    ``workers`` is accepted for compatibility and has no effect.
     """
     d_lam, d_alpha = steps
     if d_lam <= 0 or d_alpha <= 0:
@@ -517,8 +515,7 @@ def tune_hyperparams(
     def evaluate(lam: float, alpha: float) -> tuple[float, MipSolution]:
         key = (lam, alpha)
         if key not in cache:
-            params = HyperParams(k=k, lam=lam, alpha=alpha,
-                                 epsilon=epsilon, big_m=big_m)
+            params = HyperParams(k=k, lam=lam, alpha=alpha, epsilon=epsilon)
             solution = solve_weighting(v, params)
             cache[key] = (float(score(solution.weights)), solution)
         return cache[key]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voteopt import AccuracyMatrix, ClassSet, ClassifierSet, QpProblem
+from voteopt import AccuracyMatrix, ClassSet, ClassifierSet
 
 # Mean validation accuracies of the eight stock classifiers on the
 # five-class intrusion-detection benchmark; the shared reference fixture.
@@ -39,37 +39,3 @@ def random_accuracy_matrix(rng, n=None, m=None) -> AccuracyMatrix:
         ClassSet(tuple(f"e{j}" for j in range(m))),
     )
 
-
-def build_subset_problem(v: AccuracyMatrix, params, subset) -> QpProblem:
-    """Continuous weight subproblem of a fixed subset, for the grid oracle.
-
-    Variables are the selected classifiers' weights in classifier-major
-    order; unselected rows are fixed at zero by omission. The inequality
-    block carries, in order: the per-class accuracy floors (8) and the
-    per-selected-classifier weight floors from (7). The overall floor (9)
-    is the average of the (8) rows, so it is implied and left out.
-    """
-    vals = v.values
-    m = vals.shape[1]
-    k = len(subset)
-    nv = k * m
-    lam, alpha, eps = params.lam, params.alpha, params.epsilon
-
-    sub = vals[list(subset), :]  # (k, m)
-    c = (sub / m - lam * alpha).reshape(nv)
-    q = np.full(nv, lam * (1.0 - alpha) / 2.0)
-
-    a_eq = np.zeros((m, nv))
-    for j in range(m):
-        a_eq[j, j::m] = 1.0
-    b_eq = np.ones(m)
-
-    a_in = np.zeros((m + k, nv))
-    b_in = np.empty(m + k)
-    for j in range(m):
-        a_in[j, j::m] = sub[:, j]
-        b_in[j] = vals[:, j].mean() + eps
-    for li in range(k):
-        a_in[m + li, li * m:(li + 1) * m] = 1.0
-        b_in[m + li] = eps
-    return QpProblem(q, c, a_eq, b_eq, a_in, b_in)

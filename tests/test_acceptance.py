@@ -21,7 +21,6 @@ from voteopt import (
     bma_weights,
     de_weights,
     enumerate_subsets,
-    grid_oracle,
     imbalance_ratio,
     improvement_pct,
     macro_prf,
@@ -36,7 +35,8 @@ from voteopt import (
 from voteopt.cli import main
 from voteopt.qpsolve import QpStatus
 
-from conftest import SVM_ROW, build_subset_problem
+from conftest import SVM_ROW
+from oracle import build_subset_problem, grid_oracle
 
 DATA = Path(__file__).parent / "data"
 D2_CSV = str(DATA / "d2_accuracy.csv")

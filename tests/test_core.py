@@ -174,12 +174,16 @@ class TestValidation:
             dict(k=1, alpha=1.5),
             dict(k=1, epsilon=0.01),
             dict(k=1, epsilon=0.0),
-            dict(k=1, big_m=10.0),
         ],
     )
     def test_hyperparams_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HyperParams(**kwargs)
+
+    def test_hyperparams_have_no_big_m(self):
+        # no solver uses M; validate_constraints checks (7) at a fixed M
+        with pytest.raises(TypeError):
+            HyperParams(k=1, big_m=1e6)
 
     def test_types_are_frozen(self, d2_matrix):
         with pytest.raises(ValueError):

@@ -461,6 +461,57 @@ class TestCliOptimizeValidate:
         assert "generated_at" in json.loads(report.read_text())
         assert optimize({"no-timestamp": "yes"})[0] == 2
 
+    @pytest.mark.parametrize("value", [[1], {"a": 1}, True])
+    def test_config_value_of_wrong_type_exits_two(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": value}))
+        code, _, _ = self.run_optimize(tmp_path, "--config", str(cfg))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: 'lam' must be a string, a number or null" in err
+
+    @pytest.mark.parametrize("key, value", [("big_m", 1e6), ("deterministic", True)])
+    def test_config_naming_a_removed_setting_exits_two(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, _, _ = self.run_optimize(tmp_path, "--config", str(cfg))
+        assert code == 2
+        assert f"unknown setting {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("optimize", ["--deterministic"]), ("optimize", ["--big-m", "1e6"]),
+        ("tune", ["--deterministic"]), ("tune", ["--big-m", "1e6"]),
+        ("sweep", ["--deterministic"]), ("sweep", ["--big-m", "1e6"]),
+        ("validate", ["--big-m", "1e6"]),
+    ])
+    def test_removed_flags_are_unrecognized(self, capsys, command, flag):
+        required = {
+            "optimize": ["--k", "2", "--out-weights", "w", "--out-report", "r"],
+            "tune": ["--k", "2", "--predictions", "p", "--out-report", "r"],
+            "sweep": ["--predictions", "p", "--k-min", "2", "--k-max", "3",
+                      "--out-table", "t"],
+            "validate": ["--weights", "w"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--matrix", D2_CSV, *required, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_removed_flag_exits_two_without_traceback(self, tmp_path):
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "voteopt", "optimize",
+             "--matrix", D2_CSV, "--k", "3", "--deterministic",
+             "--out-weights", str(tmp_path / "w.csv"),
+             "--out-report", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --deterministic" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "w.csv").exists()
+
     def test_reused_parser_leaks_no_state(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 0.80}))

@@ -10,7 +10,6 @@ from voteopt import (
     SelectionVector,
     WeightMatrix,
     enumerate_subsets,
-    grid_oracle,
     solve_weighting,
     tune_hyperparams,
     validate_constraints,
@@ -18,7 +17,8 @@ from voteopt import (
 from voteopt.optimizer import TIE_TOL
 from voteopt.qpsolve import QpStatus
 
-from conftest import SVM_ROW, build_subset_problem, random_accuracy_matrix
+from conftest import SVM_ROW, random_accuracy_matrix
+from oracle import build_subset_problem, grid_oracle
 
 EPS = 1e-6
 
@@ -134,12 +134,12 @@ class TestSolveWeighting:
         assert np.all(sol.weights.w[out] == 0.0)
         assert sol.weights.w.sum(axis=0) == pytest.approx(np.ones(5), abs=1e-7)
 
-    def test_workers_do_not_change_result(self, d2_matrix):
-        params = HyperParams(k=4, lam=0.96, alpha=0.80)
-        serial = solve_weighting(d2_matrix, params, workers=1)
-        threaded = solve_weighting(d2_matrix, params, workers=4)
-        assert np.array_equal(serial.weights.w, threaded.weights.w)
-        assert serial.selection.indices == threaded.selection.indices
+    def test_workers_parameter_is_gone(self, d2_matrix):
+        with pytest.raises(TypeError):
+            solve_weighting(d2_matrix, HyperParams(k=4), workers=1)
+        with pytest.raises(TypeError):
+            tune_hyperparams(d2_matrix, k=4, start=(0.95, 0.85), steps=(0.1, 0.1),
+                             score=lambda w: 0.5, workers=1)
 
     def test_k_exceeding_pool_rejected(self, d2_matrix):
         with pytest.raises(ValueError, match="exceeds"):

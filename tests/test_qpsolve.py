@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import voteopt
-from voteopt import HyperParams, QpProblem, QpStatus, grid_oracle, subsetsolve
-from voteopt.qpsolve import _compositions
+from voteopt import HyperParams, QpStatus, subsetsolve
 
-from conftest import build_subset_problem, random_accuracy_matrix
+from conftest import random_accuracy_matrix
+from oracle import QpProblem, _compositions, build_subset_problem, grid_oracle
 
 EPS = 1e-6
 
@@ -129,6 +129,16 @@ def test_backend_is_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "numpy"
+
+
+def test_oracle_lives_in_the_tests():
+    # the grid oracle is a test tool; the package keeps only the status type
+    for name in ("grid_oracle", "QpProblem", "QpSolution"):
+        assert not hasattr(voteopt, name)
+        assert name not in voteopt.__all__
+    from voteopt.qpsolve import QpStatus as status
+    assert status is QpStatus
+    assert [s.value for s in status] == ["optimal", "infeasible"]
 
 
 class TestGridOracle:
