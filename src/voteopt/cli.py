@@ -74,7 +74,8 @@ def _merge_config(args: argparse.Namespace) -> None:
         raise ValueError(f"{args.config}: config must be a JSON object")
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        # not settings: argparse's command and handler, and --config itself
+        if attr in ("command", "func", "config") or not hasattr(args, attr):
             raise ValueError(f"{args.config}: unknown setting {key!r}")
         if attr in FLAGS:
             if not isinstance(value, bool):

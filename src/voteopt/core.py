@@ -166,8 +166,8 @@ class HyperParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"ensemble size k must be >= 1, got {self.k}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.epsilon <= 1e-3:

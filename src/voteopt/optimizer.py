@@ -165,12 +165,6 @@ def enumerate_subsets(n: int, k: int):
     return itertools.combinations(range(n), k)
 
 
-def _embed(w_sub: np.ndarray, subset, n: int) -> np.ndarray:
-    w = np.zeros((n, w_sub.shape[1]))
-    w[list(subset)] = w_sub
-    return w
-
-
 def _solve_subsets(v, params, subsets: np.ndarray):
     """Optimal objective and (K, m) weights of every row of ``subsets``.
 
@@ -199,34 +193,68 @@ def _solve_subsets(v, params, subsets: np.ndarray):
     return batch.objective, batch.weights, stats
 
 
-def _ranked(results) -> tuple[SubsetResult, ...]:
-    """Best objective first, infeasible last; ``results`` come in subset
-    order, which the stable sort keeps among equal objectives."""
-    key = np.array([-r.objective if r.objective is not None else math.inf
-                    for r in results])
-    return tuple(results[i] for i in np.argsort(key, kind="stable").tolist())
+class _Leaves:
+    """Every subset one search solves, ranked once when the search ends.
 
-
-def _pick(candidates):
-    """The lexicographically smallest subset within TIE_TOL of the best.
-
-    ``candidates`` holds (objective, subset, weights) triples.
+    Both searches feed ``add`` (B, K) batches of sorted subsets. It keeps
+    their objectives, and weights only within TIE_TOL of the running best.
     """
-    best = max(obj for obj, _, _ in candidates)
-    return min((c for c in candidates if c[0] >= best - TIE_TOL),
-               key=lambda c: c[1])
 
+    def __init__(self, v, params):
+        self.v, self.params = v, params
+        # empty first entries, so that a search that solves nothing ranks nothing
+        self.subsets = [np.empty((0, params.k), dtype=np.intp)]
+        self.objectives = [np.empty(0)]
+        self.near = []  # (objective, subset, weights)
+        self.best = -math.inf
+        self.stats = SolveStats()
 
-def _solution(v, params, winner, results, stats) -> MipSolution:
-    _, subset, w_sub = winner
-    weights = WeightMatrix(_embed(w_sub, subset, v.n))
-    return MipSolution(
-        selection=SelectionVector.from_indices(subset, v.n),
-        weights=weights,
-        objective=objective_value(v, weights, params),
-        subset_rank=_ranked(results),
-        stats=stats,
-    )
+    def add(self, subsets: np.ndarray) -> float:
+        """Solve ``subsets``; return the best objective so far, -inf if none."""
+        objective, weights, stats = _solve_subsets(self.v, self.params, subsets)
+        self.stats += stats
+        self.subsets.append(subsets)
+        self.objectives.append(objective)
+        top = np.fmax.reduce(objective)  # nan when the whole batch is infeasible
+        if top > self.best:
+            self.best = float(top)
+            self.near = [c for c in self.near if c[0] >= self.best - TIE_TOL]
+        self.near += [(float(objective[b]), tuple(subsets[b].tolist()), weights[b])
+                      for b in np.flatnonzero(objective >= self.best - TIE_TOL)]
+        return self.best
+
+    def solution(self, **search) -> MipSolution:
+        """Rank every solved subset and return the winner, as
+        ``solve_weighting`` states; ``search`` sets the branch-and-bound
+        counts of SolveStats."""
+        subsets = np.concatenate(self.subsets)
+        objective = np.concatenate(self.objectives)
+        infeasible = np.isnan(objective)
+        # best first, infeasible last, ties in subset order (the last key leads)
+        order = np.lexsort((*subsets.T[::-1], np.where(infeasible, np.inf, -objective)))
+        n_infeasible = int(np.count_nonzero(infeasible))  # ranked last
+        n_feasible = len(order) - n_infeasible
+        statuses = [QpStatus.OPTIMAL] * n_feasible + [QpStatus.INFEASIBLE] * n_infeasible
+        objectives = objective[order[:n_feasible]].tolist() + [None] * n_infeasible
+        rank = tuple(map(SubsetResult, map(tuple, subsets[order].tolist()), statuses,
+                         objectives))
+        if not self.near:
+            raise AllSubsetsInfeasible(
+                f"all subsets of size {self.params.k} are infeasible: no weighting "
+                "beats the uniform accuracy floors",
+                subset_rank=rank,
+            )
+        _, subset, w_sub = min(self.near, key=lambda c: c[1])
+        w = np.zeros((self.v.n, self.v.m))
+        w[list(subset)] = w_sub
+        weights = WeightMatrix(w)
+        return MipSolution(
+            selection=SelectionVector.from_indices(subset, self.v.n),
+            weights=weights,
+            objective=objective_value(self.v, weights, self.params),
+            subset_rank=rank,
+            stats=replace(self.stats, **search),
+        )
 
 
 def solve_weighting(
@@ -237,13 +265,17 @@ def solve_weighting(
     method: "enumerate" solves every C(n, K) subset, "bnb" runs best-first
     branch-and-bound on a per-class top-K bound, and "auto" enumerates up
     to ENUMERATE_MAX (500) subsets and runs branch-and-bound above that.
-    Of the subsets whose objectives lie within TIE_TOL (1e-9) of the best,
-    the lexicographically smallest wins; branch-and-bound reaches every
-    such subset, so both methods pick the same one. Enumeration solves the
-    subsets CHUNK (128) at a time on the calling thread.
+    Enumeration solves the subsets CHUNK (128) at a time on the calling
+    thread. Of the subsets whose objectives lie within TIE_TOL (1e-9) of
+    the best, the lexicographically smallest wins; branch-and-bound
+    reaches every such subset, so both methods pick the same one.
+    ``subset_rank`` holds every subset under enumeration and the solved
+    leaves under branch-and-bound, best objective first, infeasible last,
+    equal objectives in subset order.
 
-    Raises AllSubsetsInfeasible when no subset admits feasible weights and
-    SolverIncomplete when a subset's optimum cannot be certified.
+    Raises AllSubsetsInfeasible, with the same message under both methods,
+    when no subset admits feasible weights and SolverIncomplete when a
+    subset's optimum cannot be certified.
     """
     n = v.n
     if params.k > n:
@@ -257,35 +289,11 @@ def solve_weighting(
     if method == "bnb":
         return _solve_bnb(v, params)
 
+    leaves = _Leaves(v, params)
     subsets = enumerate_subsets(n, params.k)
-    results: list[SubsetResult] = []
-    candidates = []  # (objective, subset, weights) within TIE_TOL of the best so far
-    best = -math.inf
-    stats = SolveStats()
     while chunk := list(itertools.islice(subsets, CHUNK)):
-        objective, weights, chunk_stats = _solve_subsets(
-            v, params, np.array(chunk, dtype=np.intp))
-        stats += chunk_stats
-        for subset, obj in zip(chunk, objective.tolist()):
-            if math.isnan(obj):
-                results.append(SubsetResult(subset, QpStatus.INFEASIBLE, None))
-            else:
-                results.append(SubsetResult(subset, QpStatus.OPTIMAL, obj))
-        if np.all(np.isnan(objective)):
-            continue
-        best = max(best, float(np.nanmax(objective)))
-        near = np.flatnonzero(objective >= best - TIE_TOL)
-        candidates = [c for c in candidates if c[0] >= best - TIE_TOL] + [
-            (float(objective[b]), chunk[b], weights[b]) for b in near
-        ]
-
-    if not candidates:
-        raise AllSubsetsInfeasible(
-            f"all {len(results)} subsets of size {params.k} are infeasible: "
-            "no weighting beats the uniform accuracy floors",
-            subset_rank=_ranked(results),
-        )
-    return _solution(v, params, _pick(candidates), results, stats)
+        leaves.add(np.array(chunk, dtype=np.intp))
+    return leaves.solution()
 
 
 # --- branch and bound over the selection ----------------------------------------
@@ -323,9 +331,7 @@ def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
     # open nodes (-bound, tie-break, included rows in decision order and
     # padded to k, count included, depth): a stack while diving, then a heap
     frontier = [(-math.inf, next(counter), pos, 0, 0)]
-    leaves = []  # (objective, subset, weights) of every feasible leaf
-    explored: list[SubsetResult] = []
-    stats = SolveStats()
+    leaves = _Leaves(v, params)
     incumbent = -math.inf
     nodes, pruned, bound_calls, step = 0, 0, 0, 1
 
@@ -377,27 +383,11 @@ def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
         if leaf:
             subsets = np.where(taken, inc, order[depth[:, None] + rest])[leaf]
             subsets.sort(axis=1)
-            objective, weights, leaf_stats = _solve_subsets(v, params, subsets)
-            stats += leaf_stats
-            for subset, obj, w in zip(map(tuple, subsets.tolist()), objective.tolist(),
-                                      weights):
-                if math.isnan(obj):
-                    explored.append(SubsetResult(subset, QpStatus.INFEASIBLE, None))
-                else:
-                    explored.append(SubsetResult(subset, QpStatus.OPTIMAL, obj))
-                    leaves.append((obj, subset, w))
-                    incumbent = max(incumbent, obj)
+            incumbent = leaves.add(subsets)
         if diving and incumbent > -math.inf:
             heapq.heapify(frontier)
 
-    stats = replace(stats, nodes=nodes, pruned=pruned, bound_calls=bound_calls)
-    explored.sort(key=lambda r: r.subset)
-    if not leaves:
-        raise AllSubsetsInfeasible(
-            f"all subsets of size {k} are infeasible",
-            subset_rank=_ranked(explored),
-        )
-    return _solution(v, params, _pick(leaves), explored, stats)
+    return leaves.solution(nodes=nodes, pruned=pruned, bound_calls=bound_calls)
 
 
 # --- literal constraint validation ------------------------------------------
@@ -413,8 +403,9 @@ def validate_constraints(
     """Check a candidate solution against every constraint family (2)-(9).
 
     Always returns a full report; a solution is conformant iff every check
-    passes at ``tol``. Equality families report absolute deviation,
-    inequality families the amount by which the bound is missed.
+    passes at ``tol``. Each check reports the worst entry of its family, as
+    the absolute deviation of an equality or the amount by which an
+    inequality is missed, and 0.0 where nothing is missed.
     """
     vals = v.values
     n, m = vals.shape
@@ -422,61 +413,33 @@ def validate_constraints(
     x = np.asarray(selection.x, dtype=np.float64)
     if w.shape != (n, m) or x.shape != (n,):
         raise ValueError("weights/selection shape does not match the accuracy matrix")
-    clf = v.classifiers.names
-    cls = v.classes.names
-    checks = []
-
-    dist = np.minimum(np.abs(x), np.abs(x - 1.0))
-    i = int(np.argmax(dist))
-    checks.append(ConstraintCheck(
-        2, "binary-selection", bool(dist[i] <= tol), float(dist[i]), f"classifier {clf[i]}"
-    ))
-
-    neg = np.maximum(0.0, -w)
-    i, j = np.unravel_index(np.argmax(neg), neg.shape)
-    checks.append(ConstraintCheck(
-        3, "nonnegative-weights", bool(neg[i, j] <= tol), float(neg[i, j]),
-        f"({clf[i]}, {cls[j]})"
-    ))
-
-    dev = abs(float(x.sum()) - params.k)
-    checks.append(ConstraintCheck(
-        4, "ensemble-size", bool(dev <= tol), dev, "global"
-    ))
-
-    col_dev = np.abs(w.sum(axis=0) - 1.0)
-    j = int(np.argmax(col_dev))
-    checks.append(ConstraintCheck(
-        5, "class-weight-sum", bool(col_dev[j] <= tol), float(col_dev[j]), f"class {cls[j]}"
-    ))
-
+    clf, cls = v.classifiers.names, v.classes.names
     row_sums = w.sum(axis=1)
-    over = row_sums - m * x
-    i = int(np.argmax(over))
-    checks.append(ConstraintCheck(
-        6, "unselected-zero-weights", bool(over[i] <= tol), float(max(0.0, over[i])),
-        f"classifier {clf[i]}"
-    ))
-
-    floor_gap = params.epsilon - (row_sums + BIG_M * (1.0 - x))
-    i = int(np.argmax(floor_gap))
-    checks.append(ConstraintCheck(
-        7, "selected-weight-floor", bool(floor_gap[i] <= tol),
-        float(max(0.0, floor_gap[i])), f"classifier {clf[i]}"
-    ))
-
-    class_gap = vals.mean(axis=0) + params.epsilon - (w * vals).sum(axis=0)
-    j = int(np.argmax(class_gap))
-    checks.append(ConstraintCheck(
-        8, "per-class-accuracy", bool(class_gap[j] <= tol),
-        float(max(0.0, class_gap[j])), f"class {cls[j]}"
-    ))
-
-    overall_gap = vals.mean() + params.epsilon - (w * vals).sum() / m
-    checks.append(ConstraintCheck(
-        9, "overall-accuracy", bool(overall_gap <= tol), float(max(0.0, overall_gap)),
-        "global"
-    ))
+    # (id, name, gap that is positive where an entry misses the constraint,
+    # place, names along the gap's axes); the gap of (3) is clipped at 0 so
+    # that, with no negative weight, the place is the first cell
+    table = (
+        (2, "binary-selection", np.minimum(np.abs(x), np.abs(x - 1.0)),
+         "classifier {}", (clf,)),
+        (3, "nonnegative-weights", np.maximum(0.0, -w), "({}, {})", (clf, cls)),
+        (4, "ensemble-size", abs(float(x.sum()) - params.k), "global", ()),
+        (5, "class-weight-sum", np.abs(w.sum(axis=0) - 1.0), "class {}", (cls,)),
+        (6, "unselected-zero-weights", row_sums - m * x, "classifier {}", (clf,)),
+        (7, "selected-weight-floor", params.epsilon - (row_sums + BIG_M * (1.0 - x)),
+         "classifier {}", (clf,)),
+        (8, "per-class-accuracy",
+         vals.mean(axis=0) + params.epsilon - (w * vals).sum(axis=0), "class {}", (cls,)),
+        (9, "overall-accuracy", vals.mean() + params.epsilon - (w * vals).sum() / m,
+         "global", ()),
+    )
+    checks = []
+    for constraint_id, name, gap, where, axes in table:
+        gap = np.asarray(gap)
+        at = np.unravel_index(np.argmax(gap), gap.shape)
+        worst = float(gap[at])
+        checks.append(ConstraintCheck(
+            constraint_id, name, worst <= tol, max(0.0, worst),
+            where.format(*(names[i] for names, i in zip(axes, at)))))
     return ConstraintReport(tuple(checks), tol)
 
 
@@ -507,8 +470,8 @@ def tune_hyperparams(
     lam stays >= 0 and alpha inside [0, 1]. ``score`` must be deterministic.
     """
     d_lam, d_alpha = steps
-    if d_lam <= 0 or d_alpha <= 0:
-        raise ValueError("step sizes must be positive")
+    if not (0.0 < d_lam < math.inf and 0.0 < d_alpha < math.inf):
+        raise ValueError("step sizes must be positive and finite")
 
     cache: dict[tuple[float, float], tuple[float, MipSolution]] = {}
 

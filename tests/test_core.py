@@ -174,6 +174,8 @@ class TestValidation:
             dict(k=1, alpha=1.5),
             dict(k=1, epsilon=0.01),
             dict(k=1, epsilon=0.0),
+            dict(k=1, lam=float("nan")),
+            dict(k=1, lam=float("inf")),
         ],
     )
     def test_hyperparams_rejected(self, kwargs):

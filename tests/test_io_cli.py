@@ -418,6 +418,13 @@ class TestCliOptimizeValidate:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lam_exits_two(self, tmp_path, capsys, lam):
+        code, weights, _ = self.run_optimize(tmp_path, "--lam", lam)
+        assert code == 2
+        assert "lam must be finite" in capsys.readouterr().err
+        assert not weights.exists()
+
     def test_missing_file_exits_two(self, tmp_path):
         code = main([
             "optimize", "--matrix", str(tmp_path / "nope.csv"), "--k", "2",
@@ -470,7 +477,11 @@ class TestCliOptimizeValidate:
         err = capsys.readouterr().err
         assert f"{cfg}: 'lam' must be a string, a number or null" in err
 
-    @pytest.mark.parametrize("key, value", [("big_m", 1e6), ("deterministic", True)])
+    @pytest.mark.parametrize("key, value", [
+        ("big_m", 1e6), ("deterministic", True),
+        # argparse's own entries in the namespace are not settings
+        ("func", 1), ("command", "x"), ("config", "other.json"),
+    ])
     def test_config_naming_a_removed_setting_exits_two(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -706,6 +717,19 @@ class TestCliTuneSweep:
         doc = json.loads(report.read_text())
         assert doc["lam"] >= 0.0
         assert 0.0 <= doc["alpha"] <= 1.0
+
+    @pytest.mark.parametrize("flag", ["--dlam", "--dalpha"])
+    def test_tune_non_finite_step_exits_two(self, tmp_path, capsys, small_matrix_csv, flag):
+        preds = self.make_predictions_file(tmp_path, small_matrix_csv)
+        report = tmp_path / "tuned.json"
+        code = main([
+            "tune", "--matrix", small_matrix_csv, "--k", "2",
+            "--predictions", str(preds), flag, "nan",
+            "--out-report", str(report), "--no-timestamp",
+        ])
+        assert code == 2
+        assert "step sizes must be positive and finite" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_sweep_emits_finite_improvement_table(self, tmp_path, small_matrix_csv):
         preds = self.make_predictions_file(tmp_path, small_matrix_csv, count=80)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,34 @@ class TestValidateConstraints:
         assert not check.satisfied
         assert check.worst_violation == pytest.approx(1e-3, abs=1e-12)
 
+    def test_every_family_on_a_handmade_solution(self, d2_matrix):
+        # J48, JRIP and REPTree selected at K = 4; MLR's row is exact zeros,
+        # REPTree carries no weight, SVM carries weight unselected and class
+        # A4 sums to 0.75
+        w = np.zeros((8, 5))
+        w[1] = 0.5
+        w[2, :4] = 0.25
+        w[5] = 0.25
+        x = np.array([0, 1, 1, 1, 0, 0, 0, 0])
+        report = validate_constraints(d2_matrix, WeightMatrix(w), SelectionVector(x),
+                                      HyperParams(k=4, epsilon=1e-3))
+        got = [(c.constraint_id, c.satisfied, c.worst_violation, c.location)
+               for c in report.checks]
+        assert got == [
+            (2, True, 0.0, "classifier MLR"),
+            (3, True, 0.0, "(MLR, N1)"),
+            (4, False, 1.0, "global"),
+            (5, False, 0.25, "class A4"),
+            (6, False, 1.25, "classifier SVM"),
+            (7, False, 1e-3, "classifier REPTree"),
+            (8, False, pytest.approx(0.83875 + 1e-3 - 0.685, abs=1e-15), "class A4"),
+            (9, False, pytest.approx(0.83575 + 1e-3 - 0.8015, abs=1e-15), "global"),
+        ]
+        # the worst violation is never negative, not even a negative zero
+        for c in report.checks:
+            assert math.copysign(1.0, c.worst_violation) == 1.0, c
+        assert not report.conformant
+
 
 class TestTuneHyperparams:
     def test_flat_score_keeps_start(self, d2_matrix):
@@ -311,6 +341,15 @@ class TestTuneHyperparams:
             score=lambda w: 0.5,
         )
         assert (result.lam, result.alpha) == (0.95, 0.85)
+
+    @pytest.mark.parametrize("steps", [(float("nan"), 0.01), (0.01, float("nan")),
+                                       (float("inf"), 0.01), (0.01, float("inf")),
+                                       (0.0, 0.01), (0.01, -0.01)])
+    def test_steps_must_be_positive_and_finite(self, d2_matrix, steps):
+        # NaN fails every comparison, so `step <= 0` alone lets it through
+        with pytest.raises(ValueError, match="step sizes must be positive and finite"):
+            tune_hyperparams(d2_matrix, k=3, start=(0.95, 0.85), steps=steps,
+                             score=lambda w: float(w.w[0, 0]))
 
     def test_parabola_climbs_to_vertex(self, d2_matrix):
         # score depends only on (lam, alpha), recovered from the weight

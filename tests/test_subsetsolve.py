@@ -523,6 +523,10 @@ class TestBranchAndBound:
         assert auto.selection.indices == enum.selection.indices
 
 
+def _rank_bits(r):
+    return r.subset, r.status, None if r.objective is None else r.objective.hex()
+
+
 def _seeded_pool(n, seed=0):
     return _matrix(np.clip(0.7 + 0.3 * np.random.default_rng(seed).random((n, 5)), 0, 1))
 
@@ -538,6 +542,38 @@ class TestBatchedSearch:
             assert bnb.selection.indices == enum.selection.indices, k
             assert bnb.objective.total == enum.objective.total, k
             assert bnb.stats.bound_calls <= bnb.stats.nodes
+
+    @pytest.mark.parametrize("regime", BNB_REGIMES)
+    def test_rank_is_the_enumeration_rank_of_the_solved_leaves(self, regime):
+        for k in range(2, 9):
+            params = HyperParams(k=k, lam=regime[0], alpha=regime[1])
+            enum = solve_weighting(_matrix(D2_VALUES), params, method="enumerate")
+            bnb = solve_weighting(_matrix(D2_VALUES), params, method="bnb")
+            solved = {r.subset for r in bnb.subset_rank}
+            assert len(solved) == len(bnb.subset_rank) == bnb.stats.enumerated, k
+            assert list(map(_rank_bits, bnb.subset_rank)) == [
+                _rank_bits(r) for r in enum.subset_rank if r.subset in solved], k
+
+    def test_all_infeasible_pool_raises_alike(self):
+        # with eps = 1e-3 each subset holding row 0 misses the floor (8) by
+        # about 7e-7 once the other row takes its eps of (7), which the bound
+        # drops: branch-and-bound solves those three leaves, and the bound
+        # rules out the rest
+        vals = np.array([[0.5 + 1.3342e-3], [0.5], [0.5], [0.5]])
+        params = HyperParams(k=2, lam=0.0, epsilon=1e-3)
+        raised = {}
+        for method in ("enumerate", "bnb"):
+            with pytest.raises(AllSubsetsInfeasible) as exc:
+                solve_weighting(_matrix(vals), params, method=method)
+            raised[method] = exc.value
+        assert str(raised["bnb"]) == str(raised["enumerate"]) == (
+            "all subsets of size 2 are infeasible: no weighting beats the "
+            "uniform accuracy floors")
+        enum, bnb = raised["enumerate"].subset_rank, raised["bnb"].subset_rank
+        assert [r.subset for r in bnb] == [(0, 1), (0, 2), (0, 3)]
+        assert [r.subset for r in enum] == list(itertools.combinations(range(4), 2))
+        assert all(r.objective is None for r in enum)
+        assert list(bnb) == [r for r in enum if r.subset in {s.subset for s in bnb}]
 
     def test_infeasible_pool_closes_at_the_root(self):
         # every class floor exceeds every entry: both children of the root
