@@ -93,23 +93,24 @@ def _fill(args: argparse.Namespace, **defaults) -> None:
             setattr(args, key, value)
 
 
-def _hyperparams(args: argparse.Namespace) -> HyperParams:
-    return HyperParams(
-        k=int(args.k),
-        lam=float(args.lam),
-        alpha=float(args.alpha),
-        epsilon=float(args.epsilon),
-    )
+def _given(args: argparse.Namespace, **settings) -> dict:
+    """Keyword arguments for the settings given on the command line or in
+    --config, converted; ``settings`` maps each keyword to (setting, type).
+    The callee's own defaults fill the rest."""
+    return {key: kind(getattr(args, attr)) for key, (attr, kind) in settings.items()
+            if getattr(args, attr) is not None}
+
+
+def _hyperparams(args: argparse.Namespace, k: int) -> HyperParams:
+    return HyperParams(k=k, **_given(args, lam=("lam", float), alpha=("alpha", float),
+                                     epsilon=("epsilon", float)))
 
 
 def _de_params(args: argparse.Namespace) -> DeParams:
-    return DeParams(
-        population_size=int(args.de_pop),
-        max_generations=int(args.de_gens),
-        differential_weight=float(args.de_f),
-        crossover_rate=float(args.de_cr),
-        rng_seed=int(args.de_seed),
-    )
+    return DeParams(**_given(
+        args, population_size=("de_pop", int), max_generations=("de_gens", int),
+        differential_weight=("de_f", float), crossover_rate=("de_cr", float),
+        rng_seed=("de_seed", int)))
 
 
 def _constraint_payload(report) -> list[dict]:
@@ -126,10 +127,9 @@ def _constraint_payload(report) -> list[dict]:
 
 
 def cmd_optimize(args) -> int:
-    _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6, method="auto")
     v = io.read_accuracy_matrix(args.matrix)
-    params = _hyperparams(args)
-    solution = solve_weighting(v, params, method=args.method)
+    params = _hyperparams(args, int(args.k))
+    solution = solve_weighting(v, params, **_given(args, method=("method", str)))
     report = validate_constraints(v, solution.weights, solution.selection, params)
     io.write_weight_matrix(
         args.out_weights, solution.weights, solution.selection,
@@ -166,7 +166,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_baselines(args) -> int:
-    _fill(args, de_pop=50, de_gens=200, de_f=0.8, de_cr=0.9, de_seed=30)
     v = io.read_accuracy_matrix(args.matrix)
     k = int(args.k)
     de_params = _de_params(args)
@@ -245,7 +244,7 @@ def cmd_resample(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    _fill(args, lam0=0.95, alpha0=0.85, dlam=0.01, dalpha=0.01, epsilon=1e-6)
+    _fill(args, lam0=HyperParams.lam, alpha0=HyperParams.alpha, dlam=0.01, dalpha=0.01)
     v = io.read_accuracy_matrix(args.matrix)
     preds = io.read_predictions(args.predictions, v.classifiers, v.classes)
 
@@ -257,7 +256,7 @@ def cmd_tune(args) -> int:
         start=(float(args.lam0), float(args.alpha0)),
         steps=(float(args.dlam), float(args.dalpha)),
         score=score,
-        epsilon=float(args.epsilon),
+        **_given(args, epsilon=("epsilon", float)),
     )
     payload = {
         "lam": result.lam,
@@ -274,8 +273,6 @@ def cmd_tune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6,
-          de_pop=50, de_gens=200, de_f=0.8, de_cr=0.9, de_seed=30)
     v = io.read_accuracy_matrix(args.matrix)
     preds = io.read_predictions(args.predictions, v.classifiers, v.classes)
     k_min, k_max = int(args.k_min), int(args.k_max)
@@ -289,9 +286,7 @@ def cmd_sweep(args) -> int:
         (metric, scheme): {} for metric in METRIC_FIELDS for scheme in SCHEMES
     }
     for k in ks:
-        params = HyperParams(k=k, lam=float(args.lam), alpha=float(args.alpha),
-                             epsilon=float(args.epsilon))
-        mip = solve_weighting(v, params)
+        mip = solve_weighting(v, _hyperparams(args, k))
         mip_report = evaluate(mip.weights, preds)
         for scheme in SCHEMES:
             _, weights = baseline_with_selection(scheme, v, k, de_params)
@@ -313,7 +308,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _fill(args, lam=0.95, alpha=0.85, epsilon=1e-6, tol=1e-6)
     v = io.read_accuracy_matrix(args.matrix)
     weights, selection, classifiers, classes = io.read_weight_matrix(args.weights)
     if classifiers.names != v.classifiers.names:
@@ -321,10 +315,8 @@ def cmd_validate(args) -> int:
     if classes.names != v.classes.names:
         raise ValueError("weight file classes do not match the accuracy matrix")
     k = int(args.k) if args.k is not None else selection.count
-    params = HyperParams(k=max(k, 1), lam=float(args.lam), alpha=float(args.alpha),
-                         epsilon=float(args.epsilon))
-    report = validate_constraints(v, weights, selection, params,
-                                  tol=float(args.tol))
+    report = validate_constraints(v, weights, selection, _hyperparams(args, max(k, 1)),
+                                  **_given(args, tol=("tol", float)))
     for check in report.checks:
         state = "ok" if check.satisfied else "VIOLATED"
         print(

@@ -15,10 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-NORMAL = "normal"
-ABNORMAL = "abnormal"
-
-
 class UndefinedRatioError(ValueError):
     """Imbalance ratio requested for a distribution with an empty class."""
 
@@ -75,37 +71,17 @@ class ClassifierSet:
 
 @dataclass(frozen=True)
 class ClassSet:
-    """Ordered class identifiers, each tagged normal or abnormal.
-
-    The tag partitions the classes (normal activity vs rare events); it is
-    descriptive metadata and does not affect weight computation.
-    """
+    """Ordered class identifiers; the canonical column order for matrices."""
 
     names: tuple[str, ...]
-    kinds: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
         _check_unique(self.names, "class")
-        kinds = tuple(self.kinds) if self.kinds else (ABNORMAL,) * len(self.names)
-        if len(kinds) != len(self.names):
-            raise ValueError("kinds must match names length")
-        for k in kinds:
-            if k not in (NORMAL, ABNORMAL):
-                raise ValueError(f"class kind must be '{NORMAL}' or '{ABNORMAL}', got {k!r}")
-        object.__setattr__(self, "kinds", kinds)
 
     @property
     def m(self) -> int:
         return len(self.names)
-
-    @property
-    def normal(self) -> tuple[str, ...]:
-        return tuple(n for n, k in zip(self.names, self.kinds) if k == NORMAL)
-
-    @property
-    def abnormal(self) -> tuple[str, ...]:
-        return tuple(n for n, k in zip(self.names, self.kinds) if k == ABNORMAL)
 
     def index(self, name: str) -> int:
         return self.names.index(name)
@@ -276,7 +252,6 @@ class ClassDistribution:
 
     class_names: tuple[str, ...]
     counts: np.ndarray
-    kinds: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -289,10 +264,6 @@ class ClassDistribution:
         if counts.sum() <= 0:
             raise ValueError("distribution must contain at least one instance")
         object.__setattr__(self, "counts", counts)
-        kinds = tuple(self.kinds) if self.kinds else (ABNORMAL,) * len(self.class_names)
-        if len(kinds) != len(self.class_names):
-            raise ValueError("kinds must match class names length")
-        object.__setattr__(self, "kinds", kinds)
 
     @property
     def total(self) -> int:
@@ -313,27 +284,40 @@ class ObjectiveBreakdown:
     total: float
 
 
+def objective_terms(v: np.ndarray, w: np.ndarray, lam: float, alpha: float):
+    """(accuracy, l1, l2, total) of (..., K, m) accuracies and weights.
+
+    accuracy is the class-averaged weighted accuracy; the elastic-net
+    penalty mixes the weight sum (L1) and squared sum (L2) by ``alpha`` and
+    scales by ``lam``. Each term adds its per-row totals in sorted order, so
+    the same rows in another order give the same bits. This one formula
+    ranks the subsets, bounds the branch-and-bound nodes and reports the
+    winner's objective.
+    """
+    def total(x):
+        return np.sort(x.sum(axis=-1), axis=-1).sum(axis=-1)
+
+    accuracy = total(v * w) / v.shape[-1]
+    l1, l2 = total(w), total(w * w)
+    return accuracy, l1, l2, accuracy - lam * (alpha * l1 + (1.0 - alpha) / 2.0 * l2)
+
+
 def objective_value(
     v: AccuracyMatrix, weights: WeightMatrix, params: HyperParams
 ) -> ObjectiveBreakdown:
-    """Evaluate the regularized ensemble-accuracy objective.
+    """``objective_terms`` of a full weighting, over its rows that carry weight.
 
-    accuracy_term is the class-averaged weighted accuracy; the elastic-net
-    penalty mixes the weight sum (L1) and squared sum (L2) by ``alpha`` and
-    scales by ``lam``.
+    All-zero rows, such as a solution's unselected classifiers, add nothing
+    but would change the summation order, so they are left out: the result
+    has the bits of the solver's objective for the selected subset.
     """
     if v.values.shape != weights.w.shape:
         raise ValueError(
             f"shape mismatch: accuracies {v.values.shape} vs weights {weights.w.shape}"
         )
-    m = v.m
-    accuracy = float((v.values * weights.w).sum() / m)
-    l1 = float(weights.w.sum())
-    l2 = float((weights.w * weights.w).sum())
-    total = accuracy - params.lam * (
-        params.alpha * l1 + (1.0 - params.alpha) / 2.0 * l2
-    )
-    return ObjectiveBreakdown(accuracy, l1, l2, total)
+    rows = weights.w.any(axis=1)
+    terms = objective_terms(v.values[rows], weights.w[rows], params.lam, params.alpha)
+    return ObjectiveBreakdown(*map(float, terms))
 
 
 def imbalance_ratio(dist: ClassDistribution) -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassSet, PredictionSet, WeightMatrix
+from .core import PredictionSet, WeightMatrix
 from .metrics import (
     _BLOCK,
     ConfusionMatrix,
@@ -173,7 +173,6 @@ def _split(items: int, workers: int, work) -> None:
 def evaluate(
     weights: WeightMatrix,
     preds: PredictionSet,
-    classes: ClassSet | None = None,
     include_auprc: bool = True,
 ) -> MetricsReport:
     """Score the weighted ensemble on a prediction set.
@@ -204,9 +203,7 @@ def evaluate(
     """
     if len(preds) == 0:
         raise ValueError("prediction set is empty")
-    classes = classes or preds.classes
-    if classes.names != preds.classes.names:
-        raise ValueError("class set does not match the prediction set")
+    classes = preds.classes
     workers = _workers(len(preds))
     ct, predicted, ties = _score_and_vote(preds, weights, workers)
     cm = ConfusionMatrix.from_predictions(

@@ -61,7 +61,7 @@ def _parse_float(cell: str, path, ln: int, col: str) -> float:
         raise ValueError(f"{path}:{ln}: column {col!r}: not a number: {cell!r}")
 
 
-def read_accuracy_matrix(path, normal_classes=()) -> AccuracyMatrix:
+def read_accuracy_matrix(path) -> AccuracyMatrix:
     """Parse `classifier,<class...>` rows into an accuracy matrix.
 
     Values outside [0, 1] are rejected with the offending row and column
@@ -88,14 +88,10 @@ def read_accuracy_matrix(path, normal_classes=()) -> AccuracyMatrix:
         values.append(parsed)
     if not values:
         raise ValueError(f"{path}: no classifier rows")
-    kinds = tuple(
-        "normal" if name in set(normal_classes) else "abnormal"
-        for name in class_names
-    )
     return AccuracyMatrix(
         np.array(values),
         ClassifierSet(tuple(classifier_names)),
-        ClassSet(class_names, kinds),
+        ClassSet(class_names),
     )
 
 

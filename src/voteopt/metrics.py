@@ -255,23 +255,19 @@ def _class_major(m: int, rows: int) -> np.ndarray:
     return np.empty((m, 8 * (-(-rows // 8) | 1)))[:, :rows]
 
 
-def _class_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:
-    """Weighted ensemble scores class-major: an (m, N) ``_class_major`` matrix.
+def ensemble_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:
+    """Weighted per-class ensemble score for every instance, shape (N, m).
 
-    Row j is class j's score of every instance, so a per-class pass (the
-    vote's comparisons, each class's AUPRC sort) reads contiguous memory.
-    The einsum writes through the transpose, so ``ensemble_scores`` (that
-    transpose) has the same bits as the einsum into a fresh (N, m) array.
+    The array is the transpose of a ``_class_major`` matrix, so its ``.T``
+    has class j's score of every instance in row j, contiguous for a
+    per-class pass such as each class's AUPRC sort. The einsum writes
+    through that transpose and gives the same bits as into a fresh (N, m)
+    array.
     """
     _check_weights(preds, weights)
     ct = _class_major(preds.classes.m, preds.scores.shape[0])
     np.einsum("tij,ij->tj", preds.scores, weights.w, out=ct.T)
-    return ct
-
-
-def ensemble_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:
-    """Weighted per-class ensemble score for every instance, shape (N, m)."""
-    return _class_scores(preds, weights).T
+    return ct.T
 
 
 def auprc_per_class(
@@ -281,7 +277,7 @@ def auprc_per_class(
 
     Returns (values with NaN for skipped classes, skipped class names).
     """
-    scores = _class_scores(preds, weights)
+    scores = ensemble_scores(preds, weights).T
     m = preds.classes.m
     values = np.full(m, np.nan)
     skipped = []

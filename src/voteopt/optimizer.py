@@ -38,7 +38,7 @@ from .core import (
     ObjectiveBreakdown,
     SelectionVector,
     WeightMatrix,
-    objective_value,
+    objective_terms,
 )
 from . import subsetsolve
 from .qpsolve import QpStatus
@@ -245,13 +245,15 @@ class _Leaves:
                 subset_rank=rank,
             )
         _, subset, w_sub = min(self.near, key=lambda c: c[1])
+        rows = list(subset)
         w = np.zeros((self.v.n, self.v.m))
-        w[list(subset)] = w_sub
-        weights = WeightMatrix(w)
+        w[rows] = w_sub
+        terms = objective_terms(self.v.values[rows], w_sub, self.params.lam,
+                                self.params.alpha)
         return MipSolution(
             selection=SelectionVector.from_indices(subset, self.v.n),
-            weights=weights,
-            objective=objective_value(self.v, weights, self.params),
+            weights=WeightMatrix(w),
+            objective=ObjectiveBreakdown(*map(float, terms)),
             subset_rank=rank,
             stats=replace(self.stats, **search),
         )
@@ -405,8 +407,11 @@ def validate_constraints(
     Always returns a full report; a solution is conformant iff every check
     passes at ``tol``. Each check reports the worst entry of its family, as
     the absolute deviation of an equality or the amount by which an
-    inequality is missed, and 0.0 where nothing is missed.
+    inequality is missed, and 0.0 where nothing is missed. ``tol`` must be
+    finite and >= 0.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     vals = v.values
     n, m = vals.shape
     w = weights.w
@@ -460,7 +465,7 @@ def tune_hyperparams(
     start: tuple[float, float],
     steps: tuple[float, float],
     score,
-    epsilon: float = 1e-6,
+    epsilon: float = HyperParams.epsilon,
 ) -> TuneResult:
     """Coordinate-wise hill climb over (lam, alpha).
 

@@ -22,15 +22,10 @@ def round_half_away(x: float) -> int:
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """Per-class target counts for a resampling pass.
-
-    ``preserves_total`` records whether the plan was built to keep the
-    source distribution's total instance count.
-    """
+    """Per-class target counts for a resampling pass."""
 
     targets: dict[str, int]
     rng_seed: int = 0
-    preserves_total: bool = False
 
     def __post_init__(self):
         for name, t in self.targets.items():
@@ -129,7 +124,7 @@ def ratio_targets(
         targets = {name: base for name in names}
         for pos in range(rem):
             targets[names[order[pos]]] += 1
-        return ResamplePlan(targets, rng_seed=seed, preserves_total=True)
+        return ResamplePlan(targets, rng_seed=seed)
 
     maj = int(np.argmax(counts))
     mino = int(np.argmin(counts))
@@ -157,7 +152,7 @@ def ratio_targets(
             f"achievable ratio {achieved:.2f} misses target {target_rho:.2f} "
             "by more than 2%"
         )
-    return ResamplePlan(targets, rng_seed=seed, preserves_total=True)
+    return ResamplePlan(targets, rng_seed=seed)
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ class StepPlan:
                 self.y if rank < self.minority_count else self.z
             )
         targets = {name: targets[name] for name in dist.class_names}
-        return ResamplePlan(targets, rng_seed=seed, preserves_total=False)
+        return ResamplePlan(targets, rng_seed=seed)
 
 
 def step_targets(total: int, m: int, r: int, target_rho: float) -> StepPlan:

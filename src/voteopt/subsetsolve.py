@@ -53,6 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import objective_terms
+
 # per-subset outcome codes
 SCREENED = 0  # some class floor (8) exceeds every member's accuracy
 CLOSED_FORM = 1
@@ -77,20 +79,6 @@ class SubsetBatch:
     objective: np.ndarray  # (B,) regularized objective; nan unless certified
 
 
-def subset_objective(sub, w, lam, alpha):
-    """Regularized objective of (B, K, m) weights, as ``core.objective_value``.
-
-    Each term adds its per-row totals in sorted order, so subsets holding
-    the same rows in another order get bit-identical objectives.
-    """
-    def total(x):
-        return np.sort(x.sum(axis=2), axis=1).sum(axis=1)
-
-    m = sub.shape[2]
-    return total(sub * w) / m - lam * (alpha * total(w)
-                                       + (1.0 - alpha) / 2.0 * total(w * w))
-
-
 def relaxed_objective(sub, f, lam, alpha):
     """Objective of (B, K, m) columns with the weight floors (7) dropped.
 
@@ -108,7 +96,7 @@ def relaxed_objective(sub, f, lam, alpha):
         batch, _, m = s.shape
         w = np.zeros_like(s)
         w[np.arange(batch)[:, None], np.argmax(s, axis=1), np.arange(m)] = 1.0
-    out[feasible] = subset_objective(s, w, lam, alpha)
+    out[feasible] = objective_terms(s, w, lam, alpha)[3]
     return out
 
 
@@ -152,7 +140,7 @@ def solve_batch(vals, subsets, lam, alpha, eps) -> SubsetBatch:
         _vertices(sub, f, q, eps, status, weights)
     objective = np.full(batch, np.nan)
     solved = (status == CLOSED_FORM) | (status == ACTIVE_SET)
-    objective[solved] = subset_objective(sub[solved], weights[solved], lam, alpha)
+    objective[solved] = objective_terms(sub[solved], weights[solved], lam, alpha)[3]
     return SubsetBatch(status, weights, objective)
 
 

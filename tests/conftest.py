@@ -7,7 +7,6 @@ from voteopt import AccuracyMatrix, ClassSet, ClassifierSet
 # five-class intrusion-detection benchmark; the shared reference fixture.
 D2_CLASSIFIERS = ("MLR", "J48", "JRIP", "REPTree", "MLP", "SVM", "GNB", "IBk")
 D2_CLASSES = ("N1", "A1", "A2", "A3", "A4")
-D2_KINDS = ("normal", "abnormal", "abnormal", "abnormal", "abnormal")
 D2_VALUES = np.array([
     [0.96, 0.92, 0.86, 0.99, 0.95],
     [0.89, 0.78, 0.85, 0.90, 0.90],
@@ -26,7 +25,7 @@ def d2_matrix() -> AccuracyMatrix:
     return AccuracyMatrix(
         D2_VALUES,
         ClassifierSet(D2_CLASSIFIERS),
-        ClassSet(D2_CLASSES, D2_KINDS),
+        ClassSet(D2_CLASSES),
     )
 
 

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,18 @@ from voteopt import (
     ClassifierSet,
     HyperParams,
     PredictionSet,
+    ResamplePlan,
     UndefinedRatioError,
     WeightMatrix,
+    core,
+    evaluate,
     imbalance_ratio,
+    metrics,
     objective_value,
+    subsetsolve,
     uw_pc,
 )
+from voteopt.io import read_accuracy_matrix
 
 from conftest import random_accuracy_matrix
 
@@ -63,6 +71,21 @@ class TestObjectiveValue:
                 p.alpha * ob.l1_term + (1 - p.alpha) / 2 * ob.l2_term
             )
             assert ob.total == pytest.approx(expected, abs=1e-12)
+
+    def test_row_order_and_zero_rows_leave_the_bits(self):
+        # the terms add sorted per-row totals over the rows that carry weight
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n, m = int(rng.integers(2, 12)), int(rng.integers(2, 8))
+            v = rng.random((n, m))
+            w = rng.random((n, m))
+            p = HyperParams(k=1, lam=float(rng.random()), alpha=float(rng.random()))
+            ob = astuple(objective_value(_matrix(v), WeightMatrix(w), p))
+            perm = rng.permutation(n + 3)
+            v_more = np.concatenate([v, rng.random((3, m))])[perm]
+            w_more = np.concatenate([w, np.zeros((3, m))])[perm]
+            again = astuple(objective_value(_matrix(v_more), WeightMatrix(w_more), p))
+            assert [t.hex() for t in again] == [t.hex() for t in ob]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -186,6 +209,26 @@ class TestValidation:
         # no solver uses M; validate_constraints checks (7) at a fixed M
         with pytest.raises(TypeError):
             HyperParams(k=1, big_m=1e6)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: ClassSet(("a",), ("normal",)), id="ClassSet.kinds"),
+        pytest.param(lambda: ClassDistribution(("a",), [1], ("normal",)),
+                     id="ClassDistribution.kinds"),
+        pytest.param(lambda: ResamplePlan({"a": 1}, 0, True),
+                     id="ResamplePlan.preserves_total"),
+        pytest.param(lambda: read_accuracy_matrix("unread.csv", normal_classes=("a",)),
+                     id="read_accuracy_matrix.normal_classes"),
+        pytest.param(lambda: evaluate(None, None, classes=None), id="evaluate.classes"),
+    ])
+    def test_settings_that_changed_no_result_are_gone(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword|positional arguments? but"):
+            call()
+
+    def test_duplicate_names_are_gone(self):
+        for module, name in ((core, "NORMAL"), (core, "ABNORMAL"),
+                             (subsetsolve, "subset_objective"),
+                             (metrics, "_class_scores")):
+            assert not hasattr(module, name)
 
     def test_types_are_frozen(self, d2_matrix):
         with pytest.raises(ValueError):

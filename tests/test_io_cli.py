@@ -397,6 +397,37 @@ class TestCliOptimizeValidate:
         out = capsys.readouterr().out
         assert "nonconformant: constraint (5) class-weight-sum" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_validate_tolerance_out_of_range_exits_two(self, tmp_path, capsys, tol):
+        _, weights, _ = self.run_optimize(tmp_path)
+        code = main(["validate", "--matrix", D2_CSV, "--weights", str(weights),
+                     "--tol", tol])
+        assert code == 2
+        assert "tol must be finite and >= 0" in capsys.readouterr().err
+
+    def test_config_strings_are_converted_like_flags(self, tmp_path, capsys):
+        _, weights, _ = self.run_optimize(tmp_path)
+        lines = weights.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[1] = format(float(cells[1]) - 1e-4, ".17g")  # a column sum off by 1e-4
+        lines[1] = ",".join(cells)
+        weights.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": "1e-3"}))
+        validate = ["validate", "--matrix", D2_CSV, "--weights", str(weights)]
+        assert main(validate) == 4
+        assert main([*validate, "--tol", "1e-3"]) == 0
+        assert main([*validate, "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps({"de-gens": "3", "de-pop": "6", "de-seed": "1"}))
+        docs = []
+        for name, extra in (("flags", ["--de-gens", "3", "--de-pop", "6", "--de-seed", "1"]),
+                            ("config", ["--config", str(cfg)]), ("defaults", [])):
+            out = tmp_path / name
+            assert main(["baselines", "--matrix", D2_CSV, "--k", "3", "--out-dir",
+                         str(out), "--no-timestamp", *extra]) == 0
+            docs.append((out / "de.csv").read_bytes())
+        assert docs[0] == docs[1] != docs[2]
+
     def test_byte_identical_reruns_and_worker_independence(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

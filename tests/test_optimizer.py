@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from voteopt import (
     SelectionVector,
     WeightMatrix,
     enumerate_subsets,
+    objective_value,
     solve_weighting,
     tune_hyperparams,
     validate_constraints,
@@ -231,6 +233,19 @@ class TestProperties:
             compared += 1
         assert compared >= 4
 
+    @pytest.mark.parametrize("method", ["enumerate", "bnb"])
+    @pytest.mark.parametrize("lam, alpha", [(0.95, 0.85), (0.0, 0.85), (0.2, 0.99)])
+    def test_reported_objective_is_the_ranking_objective(self, d2_matrix, method,
+                                                         lam, alpha):
+        # one formula ranks the subsets and reports the winner, to the bit
+        for k in range(2, 9):
+            params = HyperParams(k=k, lam=lam, alpha=alpha)
+            sol = solve_weighting(d2_matrix, params, method=method)
+            assert sol.objective.total.hex() == sol.subset_rank[0].objective.hex()
+            again = objective_value(d2_matrix, sol.weights, params)
+            assert [t.hex() for t in astuple(again)] == \
+                [t.hex() for t in astuple(sol.objective)]
+
     def test_growing_ensemble_never_worse_when_embedding_feasible(self):
         rng = np.random.default_rng(43)
         for _ in range(8):
@@ -268,6 +283,13 @@ class TestValidateConstraints:
         assert report.conformant
         assert len(report.checks) == 8
         assert [c.constraint_id for c in report.checks] == list(range(2, 10))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, d2_matrix, tol):
+        params = HyperParams(k=8)
+        sol = solve_weighting(d2_matrix, params)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            validate_constraints(d2_matrix, sol.weights, sol.selection, params, tol=tol)
 
     def test_column_sum_violation_reported(self, d2_matrix):
         w = np.full((8, 5), 1.0 / 8)
