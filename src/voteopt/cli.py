@@ -64,14 +64,19 @@ METRIC_FIELDS = (
 FLAGS = ("no_timestamp", "no_auprc")
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill every setting left unset on the command line from --config."""
+def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill every setting left unset on the command line from --config.
+
+    Each value is converted from its text by the flag's own type, so 2.7 for
+    an integer setting is refused, as ``--de-gens 2.7`` is."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
+    command = next(a for a in parser._actions if a.dest == "command")
+    kinds = {a.dest: a.type for a in command.choices[args.command]._actions if a.type}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         # not settings: argparse's command and handler, and --config itself
@@ -83,6 +88,12 @@ def _merge_config(args: argparse.Namespace) -> None:
         elif isinstance(value, (bool, list, dict)):
             raise ValueError(
                 f"{args.config}: {key!r} must be a string, a number or null")
+        elif value is not None and attr in kinds:
+            try:
+                value = kinds[attr](str(value))
+            except ValueError:
+                raise ValueError(f"{args.config}: {key!r}: invalid "
+                                 f"{kinds[attr].__name__} value: {value!r}") from None
         if getattr(args, attr) is None:
             setattr(args, attr, value)
 
@@ -95,22 +106,20 @@ def _fill(args: argparse.Namespace, **defaults) -> None:
 
 def _given(args: argparse.Namespace, **settings) -> dict:
     """Keyword arguments for the settings given on the command line or in
-    --config, converted; ``settings`` maps each keyword to (setting, type).
-    The callee's own defaults fill the rest."""
-    return {key: kind(getattr(args, attr)) for key, (attr, kind) in settings.items()
+    --config; ``settings`` maps each keyword to its setting. The callee's own
+    defaults fill the rest."""
+    return {key: getattr(args, attr) for key, attr in settings.items()
             if getattr(args, attr) is not None}
 
 
 def _hyperparams(args: argparse.Namespace, k: int) -> HyperParams:
-    return HyperParams(k=k, **_given(args, lam=("lam", float), alpha=("alpha", float),
-                                     epsilon=("epsilon", float)))
+    return HyperParams(k=k, **_given(args, lam="lam", alpha="alpha", epsilon="epsilon"))
 
 
 def _de_params(args: argparse.Namespace) -> DeParams:
     return DeParams(**_given(
-        args, population_size=("de_pop", int), max_generations=("de_gens", int),
-        differential_weight=("de_f", float), crossover_rate=("de_cr", float),
-        rng_seed=("de_seed", int)))
+        args, population_size="de_pop", max_generations="de_gens",
+        differential_weight="de_f", crossover_rate="de_cr", rng_seed="de_seed"))
 
 
 def _constraint_payload(report) -> list[dict]:
@@ -128,27 +137,19 @@ def _constraint_payload(report) -> list[dict]:
 
 def cmd_optimize(args) -> int:
     v = io.read_accuracy_matrix(args.matrix)
-    params = _hyperparams(args, int(args.k))
-    solution = solve_weighting(v, params, **_given(args, method=("method", str)))
+    params = _hyperparams(args, args.k)
+    solution = solve_weighting(v, params, **_given(args, method="method"))
     report = validate_constraints(v, solution.weights, solution.selection, params)
     io.write_weight_matrix(
         args.out_weights, solution.weights, solution.selection,
         v.classifiers, v.classes,
     )
     payload = {
-        "hyperparams": {
-            "k": params.k, "lam": params.lam, "alpha": params.alpha,
-            "epsilon": params.epsilon,
-        },
+        "hyperparams": dataclasses.asdict(params),
         "selected": [
             v.classifiers.names[i] for i in solution.selection.indices
         ],
-        "objective": {
-            "accuracy_term": solution.objective.accuracy_term,
-            "l1_term": solution.objective.l1_term,
-            "l2_term": solution.objective.l2_term,
-            "total": solution.objective.total,
-        },
+        "objective": dataclasses.asdict(solution.objective),
         "constraints": _constraint_payload(report),
         "diagnostics": dataclasses.asdict(solution.stats),
         "subset_rank": [
@@ -167,12 +168,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_baselines(args) -> int:
     v = io.read_accuracy_matrix(args.matrix)
-    k = int(args.k)
     de_params = _de_params(args)
     os.makedirs(args.out_dir, exist_ok=True)
     summary = {}
     for scheme in SCHEMES:
-        selection, weights = baseline_with_selection(scheme, v, k, de_params)
+        selection, weights = baseline_with_selection(scheme, v, args.k, de_params)
         path = os.path.join(args.out_dir, f"{scheme}.csv")
         io.write_weight_matrix(path, weights, selection, v.classifiers, v.classes)
         score = float((weights.w * v.values).sum() / v.m)
@@ -211,14 +211,12 @@ def cmd_resample(args) -> int:
     if args.target_rho is not None and args.step_r is not None:
         raise ValueError("choose either --target-rho or --step-r/--step-rho")
     if args.target_rho is not None:
-        plan = ratio_targets(dist, float(args.target_rho), seed=int(args.seed))
+        plan = ratio_targets(dist, args.target_rho, seed=args.seed)
     elif args.step_r is not None:
         if args.step_rho is None:
             raise ValueError("--step-r requires --step-rho")
-        step = step_targets(
-            dist.total, dist.m, int(args.step_r), float(args.step_rho)
-        )
-        plan = step.bind(dist, seed=int(args.seed))
+        step = step_targets(dist.total, dist.m, args.step_r, args.step_rho)
+        plan = step.bind(dist, seed=args.seed)
     else:
         raise ValueError("either --target-rho or --step-r/--step-rho is required")
     indices = resample(labels, plan)
@@ -232,7 +230,7 @@ def cmd_resample(args) -> int:
         },
         "total": achieved.total,
         "imbalance_ratio": imbalance_ratio(achieved),
-        "seed": int(args.seed),
+        "seed": args.seed,
     }
     io.write_report(args.out_distribution, payload,
                     timestamp=not args.no_timestamp)
@@ -252,11 +250,11 @@ def cmd_tune(args) -> int:
         return evaluate(weights, preds, include_auprc=False).balanced_accuracy
 
     result = tune_hyperparams(
-        v, int(args.k),
-        start=(float(args.lam0), float(args.alpha0)),
-        steps=(float(args.dlam), float(args.dalpha)),
+        v, args.k,
+        start=(args.lam0, args.alpha0),
+        steps=(args.dlam, args.dalpha),
         score=score,
-        **_given(args, epsilon=("epsilon", float)),
+        **_given(args, epsilon="epsilon"),
     )
     payload = {
         "lam": result.lam,
@@ -275,7 +273,7 @@ def cmd_tune(args) -> int:
 def cmd_sweep(args) -> int:
     v = io.read_accuracy_matrix(args.matrix)
     preds = io.read_predictions(args.predictions, v.classifiers, v.classes)
-    k_min, k_max = int(args.k_min), int(args.k_max)
+    k_min, k_max = args.k_min, args.k_max
     if not 2 <= k_min <= k_max <= v.n:
         raise ValueError(
             f"K range {k_min}..{k_max} must sit inside 2..{v.n}"
@@ -314,9 +312,9 @@ def cmd_validate(args) -> int:
         raise ValueError("weight file classifiers do not match the accuracy matrix")
     if classes.names != v.classes.names:
         raise ValueError("weight file classes do not match the accuracy matrix")
-    k = int(args.k) if args.k is not None else selection.count
+    k = args.k if args.k is not None else selection.count
     report = validate_constraints(v, weights, selection, _hyperparams(args, max(k, 1)),
-                                  **_given(args, tol=("tol", float)))
+                                  **_given(args, tol="tol"))
     for check in report.checks:
         state = "ok" if check.satisfied else "VIOLATED"
         print(
@@ -438,9 +436,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _merge_config(parser, args)
         return args.func(args)
     except AllSubsetsInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -49,16 +49,55 @@ def _records(fh, path):
         yield row
 
 
-def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        return list(_records(fh, path))
-
-
 def _parse_float(cell: str, path, ln: int, col: str) -> float:
     try:
         return float(cell)
     except ValueError:
         raise ValueError(f"{path}:{ln}: column {col!r}: not a number: {cell!r}")
+
+
+def _read_matrix(path, marked: bool):
+    """(values, classifiers, classes, markers) of a matrix file.
+
+    A ``marked`` file holds weights and ends each row in a true/false
+    `selected` column. The others hold accuracies, each checked against
+    [0, 1] as it is parsed, so the first bad cell in file order is named.
+    """
+    with open(path, newline="") as fh:
+        rows = list(_records(fh, path))
+    header = rows[0]
+    if marked and (len(header) < 3 or header[-1].strip() != "selected"):
+        raise ValueError(f"{path}: expected a trailing 'selected' column")
+    if len(header) < 2:
+        raise ValueError(f"{path}: need a classifier column and at least one class")
+    end = len(header) - marked
+    classes = tuple(h.strip() for h in header[1:end])
+    values = []
+    for ln, row in enumerate(rows[1:], start=2):
+        for col, cell in zip(classes, row[1:end]):
+            values.append(_parse_float(cell, path, ln, col))
+            if not (marked or 0.0 <= values[-1] <= 1.0):
+                raise ValueError(f"{path}:{ln}: accuracy for ({row[0].strip()}, {col}) "
+                                 f"is {values[-1]}, outside [0, 1]")
+        if marked and (marker := row[-1].strip().lower()) not in ("true", "false"):
+            raise ValueError(
+                f"{path}:{ln}: selected marker must be true/false, got {marker!r}"
+            )
+    if len(rows) < 2:
+        raise ValueError(f"{path}: no classifier rows")
+    names = tuple(row[0].strip() for row in rows[1:])
+    return (np.array(values).reshape(len(names), len(classes)), ClassifierSet(names),
+            ClassSet(classes), [row[-1].strip().lower() == "true" for row in rows[1:]])
+
+
+def _write_matrix(path, columns, names, values, markers=()) -> None:
+    """A `classifier,<columns...>` header, then per name its values with 17
+    significant digits and, where ``markers`` holds one, its marker."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["classifier", *columns])
+        for i, name in enumerate(names):
+            writer.writerow([name, *map(_fmt, values[i]), *markers[i:i + 1]])
 
 
 def read_accuracy_matrix(path) -> AccuracyMatrix:
@@ -67,40 +106,11 @@ def read_accuracy_matrix(path) -> AccuracyMatrix:
     Values outside [0, 1] are rejected with the offending row and column
     named; clamping would hide upstream data errors.
     """
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 2:
-        raise ValueError(f"{path}: need a classifier column and at least one class")
-    class_names = tuple(h.strip() for h in header[1:])
-    classifier_names = []
-    values = []
-    for ln, row in enumerate(rows[1:], start=2):
-        classifier_names.append(row[0].strip())
-        parsed = []
-        for col, cell in zip(class_names, row[1:]):
-            val = _parse_float(cell, path, ln, col)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(
-                    f"{path}:{ln}: accuracy for ({row[0].strip()}, {col}) "
-                    f"is {val}, outside [0, 1]"
-                )
-            parsed.append(val)
-        values.append(parsed)
-    if not values:
-        raise ValueError(f"{path}: no classifier rows")
-    return AccuracyMatrix(
-        np.array(values),
-        ClassifierSet(tuple(classifier_names)),
-        ClassSet(class_names),
-    )
+    return AccuracyMatrix(*_read_matrix(path, marked=False)[:3])
 
 
 def write_accuracy_matrix(path, v: AccuracyMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["classifier", *v.classes.names])
-        for i, name in enumerate(v.classifiers.names):
-            writer.writerow([name, *(_fmt(x) for x in v.values[i])])
+    _write_matrix(path, v.classes.names, v.classifiers.names, v.values)
 
 
 def write_weight_matrix(
@@ -113,15 +123,8 @@ def write_weight_matrix(
     """Weight rows in accuracy-matrix layout plus a `selected` marker column."""
     if weights.w.shape != (classifiers.n, classes.m):
         raise ValueError("weight shape does not match the classifier/class sets")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["classifier", *classes.names, "selected"])
-        for i, name in enumerate(classifiers.names):
-            writer.writerow([
-                name,
-                *(_fmt(x) for x in weights.w[i]),
-                "true" if selection.x[i] else "false",
-            ])
+    _write_matrix(path, [*classes.names, "selected"], classifiers.names, weights.w,
+                  ["true" if x else "false" for x in selection.x])
 
 
 def read_weight_matrix(path):
@@ -130,32 +133,9 @@ def read_weight_matrix(path):
     Returns (weights, selection, classifiers, classes). Column sums are not
     policed here; conformance is the validate command's job.
     """
-    rows = _read_rows(path)
-    header = rows[0]
-    if len(header) < 3 or header[-1].strip() != "selected":
-        raise ValueError(f"{path}: expected a trailing 'selected' column")
-    class_names = tuple(h.strip() for h in header[1:-1])
-    names, values, flags = [], [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        names.append(row[0].strip())
-        values.append([
-            _parse_float(cell, path, ln, col)
-            for col, cell in zip(class_names, row[1:-1])
-        ])
-        marker = row[-1].strip().lower()
-        if marker not in ("true", "false"):
-            raise ValueError(
-                f"{path}:{ln}: selected marker must be true/false, got {marker!r}"
-            )
-        flags.append(1 if marker == "true" else 0)
-    if not names:
-        raise ValueError(f"{path}: no classifier rows")
-    return (
-        WeightMatrix(np.array(values)),
-        SelectionVector(np.array(flags, dtype=np.int64)),
-        ClassifierSet(tuple(names)),
-        ClassSet(class_names),
-    )
+    values, classifiers, classes, markers = _read_matrix(path, marked=True)
+    return (WeightMatrix(values), SelectionVector(np.array(markers, dtype=np.int64)),
+            classifiers, classes)
 
 
 def _soft_header_layout(columns, path):

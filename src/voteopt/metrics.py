@@ -8,7 +8,7 @@ class's precision-recall curve by the trapezoidal rule over recall.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -324,14 +324,4 @@ class MetricsReport:
     tie_count: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "balanced_accuracy": self.balanced_accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "macro_auprc": self.macro_auprc,
-            "per_class": self.per_class,
-            "zero_precision_classes": list(self.zero_precision_classes),
-            "skipped_auprc_classes": list(self.skipped_auprc_classes),
-            "tie_count": self.tie_count,
-        }
+        return asdict(self)

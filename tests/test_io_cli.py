@@ -520,6 +520,73 @@ class TestCliOptimizeValidate:
         assert code == 2
         assert f"unknown setting {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [[{"lam": 0.96}], "lam=0.96", 3])
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, weights, _ = self.run_optimize(tmp_path, "--config", str(cfg))
+        assert code == 2
+        assert f"{cfg}: config must be a JSON object" in capsys.readouterr().err
+        assert not weights.exists()
+
+    def test_required_flag_cannot_come_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 4}))
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--matrix", D2_CSV, "--out-weights", str(tmp_path / "w.csv"),
+                  "--out-report", str(tmp_path / "r.json"), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        ({"de-gens": 2.7}, "de-gens"), ({"de-pop": 10.9}, "de-pop"),
+        ({"de-seed": 1e300}, "de-seed"), ({"de-gens": "2.7"}, "de-gens"),
+        # a float for an integer setting is refused as its text "2.0" is on
+        # the command line
+        ({"de-gens": 2.0}, "de-gens"),
+    ])
+    def test_config_non_integer_for_integer_setting_exits_two(self, tmp_path, capsys,
+                                                              config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "schemes"
+        code = main(["baselines", "--matrix", D2_CSV, "--k", "3", "--out-dir", str(out),
+                     "--config", str(cfg)])
+        assert code == 2
+        value = config[key]
+        assert (f"{cfg}: {key!r}: invalid int value: {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        # the flag with the same text is refused too
+        with pytest.raises(SystemExit) as exc:
+            main(["baselines", "--matrix", D2_CSV, "--k", "3", "--out-dir", str(out),
+                  f"--{key}", str(value)])
+        assert exc.value.code == 2
+        assert f"argument --{key}: invalid int value" in capsys.readouterr().err
+
+    def test_integral_config_values_run_as_their_flags(self, tmp_path, capsys):
+        runs = {}
+        for name, de, hyper in (
+                ("flags", ["--de-gens", "2", "--de-pop", "10"], ["--lam", "1", "--k", "3"]),
+                ("numbers", {"de-gens": 2, "de-pop": 10}, {"lam": 1, "k": 3}),
+                ("strings", {"de-gens": "2", "de-pop": "10"}, {"lam": "1", "k": "3"})):
+            out = tmp_path / name
+            out.mkdir()
+            if name != "flags":
+                (out / "de.json").write_text(json.dumps(de))
+                (out / "hyper.json").write_text(json.dumps(hyper))
+                de = ["--config", str(out / "de.json")]
+                hyper = ["--config", str(out / "hyper.json")]
+            assert main(["baselines", "--matrix", D2_CSV, "--k", "3", "--out-dir",
+                         str(out), "--no-timestamp", *de]) == 0
+            # validate's --k is an integer setting a config may give
+            code = main(["validate", "--matrix", D2_CSV, "--weights",
+                         str(out / "de.csv"), *hyper])
+            runs[name] = [(out / "de.csv").read_bytes(),
+                          (out / "baselines.json").read_bytes(), code,
+                          capsys.readouterr().out]
+        assert runs["flags"] == runs["numbers"] == runs["strings"]
+
     @pytest.mark.parametrize("command, flag", [
         ("optimize", ["--deterministic"]), ("optimize", ["--big-m", "1e6"]),
         ("tune", ["--deterministic"]), ("tune", ["--big-m", "1e6"]),
@@ -588,6 +655,22 @@ class TestCliOptimizeValidate:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("weights, what", [
+        ("classifier,x,y,selected\nc0,0.6,0.6,true\nc2,0.4,0.4,true\n", "classifiers"),
+        ("classifier,y,x,selected\nc0,0.6,0.6,true\nc1,0.4,0.4,true\n", "classes"),
+    ])
+    def test_weight_file_for_another_matrix_exits_two(self, tmp_path, capsys,
+                                                      weights, what):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("classifier,x,y\nc0,0.9,0.8\nc1,0.6,0.7\n")
+        path = tmp_path / "w.csv"
+        path.write_text(weights)
+        code = main(["validate", "--matrix", str(matrix), "--weights", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"weight file {what} do not match the accuracy matrix" in captured.err
+        assert captured.out == ""
 
 
 class TestCliBaselinesEvaluate:
@@ -711,6 +794,53 @@ class TestCliResample:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("mode, message", [
+        (["--step-r", "1"], "--step-r requires --step-rho"),
+        ([], "either --target-rho or --step-r/--step-rho is required"),
+        # --step-rho alone chooses no mode
+        (["--step-rho", "5"], "either --target-rho or --step-r/--step-rho is required"),
+    ])
+    def test_incomplete_mode_exits_two(self, tmp_path, capsys, mode, message):
+        labels = self.write_labels(tmp_path)
+        code = main([
+            "resample", "--labels", str(labels), *mode,
+            "--out-indices", str(tmp_path / "i.txt"),
+            "--out-distribution", str(tmp_path / "d.json"),
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "i.txt").exists()
+
+    def test_config_seed_is_converted_like_the_flag(self, tmp_path, capsys):
+        labels = self.write_labels(tmp_path)
+
+        def run(name, *extra):
+            d = tmp_path / name
+            d.mkdir()
+            code = main(["resample", "--labels", str(labels), "--target-rho", "30",
+                         "--out-indices", str(d / "idx.txt"),
+                         "--out-distribution", str(d / "dist.json"), "--no-timestamp",
+                         *extra])
+            return code, d
+
+        def config(name, value):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"seed": value}))
+            return "--config", str(cfg)
+
+        outs = []
+        for name, extra in (("flag", ["--seed", "3"]), ("number", config("number", 3)),
+                            ("string", config("string", "3"))):
+            code, d = run(name, *extra)
+            assert code == 0
+            outs.append((d / "idx.txt").read_bytes() + (d / "dist.json").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads((tmp_path / "flag" / "dist.json").read_text())["seed"] == 3
+        code, d = run("fraction", *config("fraction", 1.9))
+        assert code == 2
+        assert "'seed': invalid int value: 1.9" in capsys.readouterr().err
+        assert not (d / "idx.txt").exists()
+
     def test_seeded_byte_determinism(self, tmp_path):
         labels = self.write_labels(tmp_path)
         outs = []
@@ -777,3 +907,17 @@ class TestCliTuneSweep:
         for line in lines[1:]:
             cells = line.split(",")[2:]
             assert all(np.isfinite(float(c)) for c in cells)
+
+    @pytest.mark.parametrize("k_min, k_max", [(1, 2), (2, 5), (3, 2)])
+    def test_sweep_k_range_outside_the_pool_exits_two(self, tmp_path, capsys,
+                                                      small_matrix_csv, k_min, k_max):
+        preds = self.make_predictions_file(tmp_path, small_matrix_csv)
+        table = tmp_path / "table.csv"
+        code = main([
+            "sweep", "--matrix", small_matrix_csv, "--predictions", str(preds),
+            "--k-min", str(k_min), "--k-max", str(k_max), "--out-table", str(table),
+        ])
+        assert code == 2
+        assert (f"K range {k_min}..{k_max} must sit inside 2..4"
+                in capsys.readouterr().err)
+        assert not table.exists()

@@ -98,6 +98,22 @@ def reference_optimum(vals, subset, lam, alpha, eps=EPS):
     return float(c @ w - q * (w @ w))
 
 
+def lp_optimum(sub, f, eps):
+    """HiGHS optimum of ``sum(sub * w) / m`` under (5), (7) and the class
+    floors ``f`` of (8), or None when infeasible."""
+    k, m = sub.shape
+    a_eq = np.kron(np.ones(k), np.eye(m))
+    a_in = np.vstack([a_eq * sub.ravel(), np.kron(np.eye(k), np.ones(m))])
+    res = scipy_optimize.linprog(-sub.ravel() / m, A_ub=-a_in,
+                                 b_ub=-np.concatenate([f, np.full(k, eps)]),
+                                 A_eq=a_eq, b_eq=np.ones(m), bounds=(0, None),
+                                 method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun
+
+
 def assert_feasible(vals, subset, w, eps=EPS, tol=FEAS):
     sub = vals[list(subset)]
     assert w.min() >= 0.0
@@ -411,6 +427,48 @@ class TestVertexStage:
                 assert objective[0] >= ref - 1e-6
             reached += stats.active_set + stats.infeasible
         assert reached >= 25
+
+
+    def test_degenerate_phase_1_drives_out_its_artificials(self, monkeypatch):
+        # phase 1 can end feasible with an artificial basic at zero; it must
+        # leave the basis before phase 2, whose columns hold no artificials
+        bases = []
+        real = subsetsolve._bland
+
+        def bland(a, b, cost, basis):
+            out = real(a, b, cost, basis)
+            bases.append(None if out is None else out.copy())
+            return out
+
+        monkeypatch.setattr(subsetsolve, "_bland", bland)
+
+        def check(sub, f, eps):
+            """Whether the drive-out ran; the answer is checked either way."""
+            bases.clear()
+            k, m = sub.shape
+            found = subsetsolve._vertex(sub, f, eps)
+            drove = len(bases) == 2 and bool((bases[0] >= k * m + m + k).any())
+            best = lp_optimum(sub, f, eps)
+            if found == subsetsolve.INFEASIBLE:
+                assert best is None
+                return drove
+            for q in (0.0, 0.05):
+                w, nu, mu, gamma = subsetsolve._descend(sub[None], f, q, eps, *found)
+                w, mu, gamma = (np.maximum(x, 0.0) for x in (w, mu, gamma))
+                assert subsetsolve._certify(sub[None], f, q, eps, w, nu, mu, gamma)[0]
+                if q == 0.0:
+                    assert (sub * w[0]).sum() / m == pytest.approx(best, abs=1e-9)
+            return drove
+
+        assert check(np.array([[0.0], [0.0]]), np.array([0.0]), 0.25)
+        # K <= 3, m <= 2, values on a 0.25 grid: about one in six drives out
+        rng = np.random.default_rng(0)
+        drove = 0
+        for _ in range(300):
+            k, m = rng.integers(1, 4), rng.integers(1, 3)
+            sub, f = rng.integers(0, 5, (k, m)) / 4, rng.integers(0, 5, m) / 4
+            drove += check(sub, f, 2.0 ** -rng.integers(1, 5))
+        assert drove >= 30
 
 
 class TestNodeLimit:
