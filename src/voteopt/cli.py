@@ -67,8 +67,9 @@ FLAGS = ("no_timestamp", "no_auprc")
 def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Fill every setting left unset on the command line from --config.
 
-    Each value is converted from its text by the flag's own type, so 2.7 for
-    an integer setting is refused, as ``--de-gens 2.7`` is."""
+    Each value is converted from its text by the flag's own type and checked
+    against its choices, so 2.7 for an integer setting is refused, as
+    ``--de-gens 2.7`` is, and so is a method the flag does not offer."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
@@ -76,7 +77,7 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if not isinstance(overrides, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
     command = next(a for a in parser._actions if a.dest == "command")
-    kinds = {a.dest: a.type for a in command.choices[args.command]._actions if a.type}
+    actions = {a.dest: a for a in command.choices[args.command]._actions}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         # not settings: argparse's command and handler, and --config itself
@@ -88,12 +89,16 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         elif isinstance(value, (bool, list, dict)):
             raise ValueError(
                 f"{args.config}: {key!r} must be a string, a number or null")
-        elif value is not None and attr in kinds:
+        elif value is not None and (kind := actions[attr].type):
             try:
-                value = kinds[attr](str(value))
+                value = kind(str(value))
             except ValueError:
                 raise ValueError(f"{args.config}: {key!r}: invalid "
-                                 f"{kinds[attr].__name__} value: {value!r}") from None
+                                 f"{kind.__name__} value: {value!r}") from None
+        choices = actions[attr].choices
+        if value is not None and choices and value not in choices:
+            raise ValueError(f"{args.config}: {key!r}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
 

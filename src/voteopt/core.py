@@ -33,6 +33,12 @@ class _Owned:
         self.array = array
 
 
+# score dtypes whose every value converts to float64 exactly
+_EXACT_SCORES = frozenset(map(np.dtype, (
+    bool, np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32,
+    np.float16, np.float32, np.float64)))
+
+
 def _frozen_array(values, dtype=np.float64, ndim=None) -> np.ndarray:
     if isinstance(values, _Owned):
         arr = np.asarray(values.array, dtype=dtype)
@@ -215,7 +221,10 @@ class PredictionSet:
     """Per-instance truth plus per-classifier per-class scores.
 
     ``scores`` has shape (instances, classifiers, classes); hard votes are
-    represented as one-hot score rows.
+    represented as one-hot score rows. Scores keep their dtype where every
+    value of it converts to float64 exactly (bool, integers of up to 32
+    bits, float16, float32, float64); any other input is converted to
+    float64. Scoring widens a narrow set a block at a time.
     """
 
     instance_ids: tuple[str, ...]
@@ -227,7 +236,10 @@ class PredictionSet:
     def __post_init__(self):
         object.__setattr__(self, "instance_ids", tuple(self.instance_ids))
         truth = _frozen_array(self.true_classes, dtype=np.int64, ndim=1)
-        scores = _frozen_array(self.scores, ndim=3)
+        given = self.scores.array if isinstance(self.scores, _Owned) else self.scores
+        dtype = getattr(given, "dtype", None)
+        scores = _frozen_array(self.scores, ndim=3,
+                               dtype=dtype if dtype in _EXACT_SCORES else np.float64)
         if scores.shape != (len(self.instance_ids), self.classifiers.n, self.classes.m):
             raise ValueError(
                 f"scores shape {scores.shape} does not match "
@@ -237,7 +249,9 @@ class PredictionSet:
             raise ValueError("true_classes length does not match instance count")
         if truth.size and (truth.min() < 0 or truth.max() >= self.classes.m):
             raise ValueError("true class index out of range")
-        if not np.all(np.isfinite(scores)):
+        # NaN propagates through min and max; integers hold no NaN or inf
+        if scores.dtype.kind == "f" and not np.isfinite(
+                [scores.min(initial=0), scores.max(initial=0)]).all():
             raise ValueError("scores contain non-finite entries")
         object.__setattr__(self, "true_classes", truth)
         object.__setattr__(self, "scores", scores)

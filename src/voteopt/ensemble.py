@@ -76,16 +76,27 @@ def _score_and_vote(
 
     The einsum sums each instance's classifiers in the same order whatever
     the block, so the scores have the same bits as one einsum over all rows.
+    A set whose scores are not float64 is copied a block at a time into a
+    float64 buffer, one per share, and the einsum reads that: every value
+    of a ``PredictionSet`` score dtype converts exactly, so the scores have
+    the bits of the set's float64 copy.
     """
     _check_weights(preds, weights)
+    scores = preds.scores
     rows = len(preds)
     ct = _class_major(preds.classes.m, rows)
     predicted = np.empty(rows, dtype=np.intp)
     ties = np.empty(rows, dtype=bool)
+    buffers = [] if scores.dtype == np.float64 else [
+        np.empty((min(_BLOCK, rows),) + scores.shape[1:]) for _ in range(workers)]
 
-    def block(b, _):
+    def block(b, share):
         at = slice(b * _BLOCK, (b + 1) * _BLOCK)
-        np.einsum("tij,ij->tj", preds.scores[at], weights.w, out=ct[:, at].T)
+        part = scores[at]
+        if buffers:
+            part = buffers[share][:len(part)]
+            np.copyto(part, scores[at])
+        np.einsum("tij,ij->tj", part, weights.w, out=ct[:, at].T)
         _vote(ct[:, at], predicted[at], ties[at])
 
     _split(-(-rows // _BLOCK), workers, block)
@@ -196,10 +207,11 @@ def evaluate(
     ``_ROWS_PER_WORKER`` instances at most: the scores and votes by blocks
     of instances, AUPRC by class. The calling thread is one worker; the
     others are threads started for this call and joined before it returns
-    or raises. Every buffer as long as the set is allocated on the calling
-    thread. Each instance's and class's arithmetic is the same whichever
-    worker does it, so the report is the same to the bit for any worker
-    count, and an error is the one that one worker would raise first.
+    or raises. Every buffer as long as the set, and each worker's block of
+    widened scores, is allocated on the calling thread. Each instance's and
+    class's arithmetic is the same whichever worker does it, so the report
+    is the same to the bit for any worker count, and an error is the one
+    that one worker would raise first.
     """
     if len(preds) == 0:
         raise ValueError("prediction set is empty")

@@ -60,8 +60,9 @@ def _read_matrix(path, marked: bool):
     """(values, classifiers, classes, markers) of a matrix file.
 
     A ``marked`` file holds weights and ends each row in a true/false
-    `selected` column. The others hold accuracies, each checked against
-    [0, 1] as it is parsed, so the first bad cell in file order is named.
+    `selected` column. The others hold accuracies. Each value is checked as
+    it is parsed, an accuracy against [0, 1] and a weight for being finite
+    and non-negative, so the first bad cell in file order is named.
     """
     with open(path, newline="") as fh:
         rows = list(_records(fh, path))
@@ -72,13 +73,16 @@ def _read_matrix(path, marked: bool):
         raise ValueError(f"{path}: need a classifier column and at least one class")
     end = len(header) - marked
     classes = tuple(h.strip() for h in header[1:end])
+    # NaN fails both ranges, and the largest float bars inf
+    kind, top, rule = (("weight", np.finfo(float).max, "not a finite number >= 0") if marked
+                       else ("accuracy", 1.0, "outside [0, 1]"))
     values = []
     for ln, row in enumerate(rows[1:], start=2):
         for col, cell in zip(classes, row[1:end]):
             values.append(_parse_float(cell, path, ln, col))
-            if not (marked or 0.0 <= values[-1] <= 1.0):
-                raise ValueError(f"{path}:{ln}: accuracy for ({row[0].strip()}, {col}) "
-                                 f"is {values[-1]}, outside [0, 1]")
+            if not 0.0 <= values[-1] <= top:
+                raise ValueError(f"{path}:{ln}: {kind} for ({row[0].strip()}, {col}) "
+                                 f"is {values[-1]}, {rule}")
         if marked and (marker := row[-1].strip().lower()) not in ("true", "false"):
             raise ValueError(
                 f"{path}:{ln}: selected marker must be true/false, got {marker!r}"

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -243,3 +244,65 @@ class TestValidation:
             assert given.flags.writeable and not held.flags.writeable
             assert not np.shares_memory(given, held)
             assert np.array_equal(given, held)
+
+
+# every value of these converts to float64 exactly, so a set keeps them
+EXACT_SCORE_DTYPES = (np.bool_, np.int8, np.int16, np.int32, np.uint8, np.uint16,
+                      np.uint32, np.float16, np.float32, np.float64)
+
+
+def _scores_set(scores):
+    rows, n, m = np.shape(getattr(scores, "array", scores))  # an _Owned holds it
+    return PredictionSet(tuple(f"i{t}" for t in range(rows)), np.arange(rows) % m,
+                         scores, ClassifierSet(tuple(f"c{i}" for i in range(n))),
+                         ClassSet(tuple(f"e{j}" for j in range(m))))
+
+
+class TestScoreDtypes:
+    @pytest.mark.parametrize("dtype", EXACT_SCORE_DTYPES)
+    def test_exact_dtypes_are_kept_and_copied(self, dtype):
+        scores = (np.arange(24).reshape(4, 3, 2) % 2).astype(dtype)
+        for given in (scores, core._Owned(scores.copy())):
+            held = _scores_set(given).scores
+            assert held.dtype == dtype and not held.flags.writeable
+            assert np.array_equal(held, scores)
+        assert scores.flags.writeable
+        assert not np.shares_memory(scores, _scores_set(scores).scores)
+
+    @pytest.mark.parametrize("given", [
+        np.ones((2, 1, 2), dtype=np.int64),
+        np.ones((2, 1, 2), dtype=np.uint64),
+        np.ones((2, 1, 2), dtype=object),
+        [[[1, 0]], [[0, 1]]],
+        [[[True, False]], [[False, True]]],
+    ], ids=["int64", "uint64", "object", "list", "list-of-bools"])
+    def test_other_scores_become_float64(self, given):
+        held = _scores_set(given).scores
+        assert held.dtype == np.float64
+        assert np.array_equal(held, np.asarray(given, dtype=np.float64))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, dtype, bad):
+        scores = np.zeros((3, 2, 2), dtype=dtype)
+        scores[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="^scores contain non-finite entries$"):
+            _scores_set(scores)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32, np.float64])
+    def test_building_a_set_holds_no_second_copy(self, dtype):
+        # the set's own copy, its truth, and no temporary as large as the set
+        rows = 1 << 18
+        scores = np.ones((rows, 8, 7), dtype=dtype)
+        ids = tuple(map(str, range(rows)))
+        truth = np.arange(rows) % 7
+        classifiers = ClassifierSet(tuple(f"c{i}" for i in range(8)))
+        classes = ClassSet(tuple(f"e{j}" for j in range(7)))
+        tracemalloc.start()
+        try:
+            preds = PredictionSet(ids, truth, scores, classifiers, classes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert preds.scores.dtype == dtype
+        assert peak <= 1.1 * scores.nbytes, peak / scores.nbytes

@@ -1,6 +1,7 @@
 import contextlib
 import os
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -18,7 +19,7 @@ from voteopt import (
     evaluate,
     predict,
 )
-from voteopt import ensemble, metrics
+from voteopt import ensemble, io, metrics
 from voteopt.ensemble import predict_batch
 from voteopt.metrics import (
     ConfusionMatrix,
@@ -565,3 +566,93 @@ def test_class_major_scores_padded_off_page_multiples():
     ct, _, _ = ensemble._score_and_vote(preds, w, 1)
     assert np.array_equal(ct.T, scores)
     assert ct.strides[0] % 4096 != 0
+
+
+# score dtypes a PredictionSet keeps: each converts to float64 exactly
+NARROW_DTYPES = tuple(map(np.dtype, (np.bool_, np.int8, np.int16, np.int32, np.uint8,
+                                     np.uint16, np.uint32, np.float16, np.float32)))
+
+
+def widened(preds):
+    """The same set with its scores converted to float64."""
+    return PredictionSet(preds.instance_ids, preds.true_classes,
+                         preds.scores.astype(np.float64), preds.classifiers, preds.classes)
+
+
+def score_bits(scores):
+    return np.ascontiguousarray(scores).view(np.uint64)
+
+
+def assert_scores_like_float64(narrow, w, write=True):
+    """Every result on ``narrow`` has the bits of its float64 copy's."""
+    wide = widened(narrow)
+    for include_auprc in (True, False):
+        got = evaluate(w, narrow, include_auprc=include_auprc).as_dict()
+        want = evaluate(w, wide, include_auprc=include_auprc).as_dict()
+        assert float_bytes(got) == float_bytes(want)
+    for got, want in zip(predict_batch(w, narrow), predict_batch(w, wide)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(score_bits(metrics.ensemble_scores(narrow, w)),
+                          score_bits(metrics.ensemble_scores(wide, w)))
+    assert (auprc_per_class(narrow, w)[0].tobytes()
+            == auprc_per_class(wide, w)[0].tobytes())
+    if write:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("narrow.csv", "wide.csv")]
+            for path, preds in zip(paths, (narrow, wide)):
+                io.write_predictions(path, preds)
+            with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+                assert a.read() == b.read()
+
+
+@st.composite
+def narrow_sets(draw):
+    """Small sets in a narrow score dtype, over its whole finite range;
+    every class present in the truth."""
+    dtype = draw(st.sampled_from(NARROW_DTYPES))
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 3))
+    rows = draw(st.integers(m, 40))
+    truth = np.array(list(range(m)) + draw(
+        st.lists(st.integers(0, m - 1), min_size=rows - m, max_size=rows - m)))
+    truth = truth[draw(st.permutations(range(rows)))]
+    finite = dict(allow_nan=False, allow_infinity=False) if dtype.kind == "f" else {}
+    scores = draw(hnp.arrays(dtype, (rows, n, m), elements=hnp.from_dtype(dtype, **finite)))
+    weights = draw(hnp.arrays(np.float64, (n, m), elements=st.sampled_from(
+        (0.0, 0.5, 1.0, 3.0)) | st.floats(0.0, 1.0)))
+    preds = PredictionSet(tuple(f"i{t}" for t in range(rows)), truth, scores,
+                          ClassifierSet(tuple(f"c{i}" for i in range(n))),
+                          ClassSet(tuple(f"e{j}" for j in range(m))))
+    assert preds.scores.dtype == dtype
+    return preds, WeightMatrix(weights)
+
+
+class TestNarrowScores:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(narrow_sets())
+    def test_narrow_set_scores_like_its_float64_copy(self, case):
+        preds, w = case
+        assert_scores_like_float64(preds, w)
+        for count in (2, 3):  # several blocks per worker, one buffer each
+            with worker_count(count):
+                assert_scores_like_float64(preds, w, write=False)
+
+    @pytest.mark.parametrize("dtype", NARROW_DTYPES, ids=str)
+    def test_large_narrow_set_on_two_workers(self, dtype, monkeypatch, thread_starts):
+        rows, n, m = (1 << 17) + 3, 2, 3
+        rng = np.random.default_rng(56)
+        if dtype.kind == "b":
+            scores = rng.random((rows, n, m)) < 0.5
+        elif dtype.kind in "iu":
+            info = np.iinfo(dtype)
+            scores = rng.integers(info.min, info.max, (rows, n, m), dtype=dtype,
+                                  endpoint=True)
+        else:
+            scores = (rng.standard_normal((rows, n, m)) * 100).astype(dtype)
+        preds = PredictionSet(tuple(map(str, range(rows))), np.arange(rows) % m, scores,
+                              ClassifierSet(("c0", "c1")), ClassSet(("e0", "e1", "e2")))
+        assert preds.scores.dtype == dtype
+        monkeypatch.setattr(ensemble, "_cpus", lambda: 2)
+        assert ensemble._workers(rows) == 2
+        assert_scores_like_float64(preds, WeightMatrix(rng.random((n, m))), write=False)
+        assert thread_starts

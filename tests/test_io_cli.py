@@ -97,6 +97,19 @@ class TestMatrixIo:
         assert np.array_equal(sel.x, sel2.x)
         assert clf.names == d2_matrix.classifiers.names
 
+    @pytest.mark.parametrize("cells, where, value", [
+        ("1.5,-0.5,true\nB,0.5,0.5,false", "2: weight for (A, y)", "-0.5"),
+        ("1.5,0.5,true\nB,nan,-1,false", "3: weight for (B, x)", "nan"),
+        ("inf,-1,true\nB,0.5,0.5,false", "2: weight for (A, x)", "inf"),
+    ], ids=["negative", "nan", "inf"])
+    def test_bad_weight_names_file_line_and_pair(self, tmp_path, cells, where, value):
+        # the first bad cell in file order
+        p = tmp_path / "w.csv"
+        p.write_text(f"classifier,x,y,selected\nA,{cells}\n")
+        with pytest.raises(ValueError) as exc:
+            io.read_weight_matrix(p)
+        assert str(exc.value) == f"{p}:{where} is {value}, not a finite number >= 0"
+
     def test_weight_marker_validated(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("classifier,a,selected\nclf,0.5,maybe\n")
@@ -520,6 +533,28 @@ class TestCliOptimizeValidate:
         assert code == 2
         assert f"unknown setting {key!r}" in capsys.readouterr().err
 
+    def test_config_value_outside_the_choices_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "fast"}))
+        code, weights, _ = self.run_optimize(tmp_path, "--config", str(cfg))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: 'method': invalid choice: 'fast' "
+            "(choose from 'auto', 'enumerate', 'bnb')\n")
+        assert not weights.exists()
+
+    def test_config_value_among_the_choices_runs_as_the_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "bnb"}))
+        outputs = []
+        for name, extra in (("config", ["--config", str(cfg)]),
+                            ("flag", ["--method", "bnb"])):
+            (tmp_path / name).mkdir()
+            code, weights, report = self.run_optimize(tmp_path / name, *extra)
+            assert code == 0
+            outputs.append((weights.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("config", [[{"lam": 0.96}], "lam=0.96", 3])
     def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -655,6 +690,24 @@ class TestCliOptimizeValidate:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate"])
+    @pytest.mark.parametrize("weight", ["-0.5", "nan"])
+    def test_bad_weight_file_exits_two_naming_the_cell(self, tmp_path, capsys, command,
+                                                       weight):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("classifier,x,y\nA,0.9,0.8\nB,0.6,0.7\n")
+        weights = tmp_path / "w.csv"
+        weights.write_text(f"classifier,x,y,selected\nA,1.5,{weight},true\n"
+                           "B,0.5,0.5,false\n")
+        preds = tmp_path / "p.csv"
+        preds.write_text("instance_id,true_class,A,B\ni0,x,x,y\ni1,y,y,y\n")
+        args = (["--matrix", str(matrix)] if command == "validate" else
+                ["--predictions", str(preds), "--out-report", str(tmp_path / "r.json")])
+        code = main([command, "--weights", str(weights), *args])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {weights}:2: weight for (A, y) is {weight}, not a finite number >= 0\n")
 
     @pytest.mark.parametrize("weights, what", [
         ("classifier,x,y,selected\nc0,0.6,0.6,true\nc2,0.4,0.4,true\n", "classifiers"),
