@@ -91,11 +91,6 @@ def bma_weights(v: AccuracyMatrix | np.ndarray) -> WeightMatrix:
     return WeightMatrix(vals / col_sums / vals.shape[1])
 
 
-def de_fitness(genome: np.ndarray, vals: np.ndarray) -> float:
-    """Class-averaged weighted accuracy of a per-classifier weight vector."""
-    return float(genome @ vals.mean(axis=1))
-
-
 def _project_simplex(vec: np.ndarray) -> np.ndarray:
     # Euclidean projection onto {w >= 0, sum w = 1}
     u = np.sort(vec)[::-1]
@@ -128,7 +123,6 @@ def _trial_ceiling(coef: np.ndarray) -> float:
 def de_weights(
     v: AccuracyMatrix | np.ndarray,
     params: DeParams = DeParams(),
-    fitness_trace: list | None = None,
 ) -> WeightMatrix:
     """Per-classifier weights evolved by DE/rand/1/bin.
 
@@ -136,8 +130,6 @@ def de_weights(
     vectors are repaired onto the simplex after mutation and crossover.
     The best genome is normalized to unit sum and broadcast across classes,
     so every class column sums to 1. Bitwise reproducible for a fixed seed.
-    ``fitness_trace``, when given, collects the population-best fitness
-    after each generation.
 
     The initial population is scored unprojected. On pools where a random
     initial vector already scores above every simplex point, no trial can
@@ -145,17 +137,14 @@ def de_weights(
     gets about 0.12, not 0); every trial then scores below the best
     (``_trial_ceiling``), so no generation needs to run.
 
-    With one classifier and no trace asked for, DE returns 1.0 per class
-    without drawing. The loop returns ``best / best.sum()`` for a 1-vector
-    ``best``: that is exactly 1.0 when ``best > 0`` (IEEE x / x is exactly
-    1), and ``1 / n`` = 1.0 otherwise, whatever the draws. The trace does
-    depend on them: a trial is ``fl(x - fl(x - 1))``, which for some
-    negative mutants ``x`` is 1 - 2^-53, 1 - 2^-52 or 1 + 2^-52, so with a
-    trace the loop runs.
+    With one classifier DE returns 1.0 per class without drawing. The loop
+    returns ``best / best.sum()`` for a 1-vector ``best``: that is exactly
+    1.0 when ``best > 0`` (IEEE x / x is exactly 1), and ``1 / n`` = 1.0
+    otherwise, whatever the draws.
     """
     vals = _values(v)
     n = vals.shape[0]
-    if n == 1 and fitness_trace is None:
+    if n == 1:
         return WeightMatrix(np.ones_like(vals))
     coef = vals.mean(axis=1)
     rng = np.random.default_rng(params.rng_seed)
@@ -179,8 +168,6 @@ def de_weights(
             if trial_fitness > fitness[i]:
                 population[i] = trial
                 fitness[i] = trial_fitness
-        if fitness_trace is not None:
-            fitness_trace.append(float(fitness.max()))
 
     best = population[int(np.argmax(fitness))]
     total = best.sum()

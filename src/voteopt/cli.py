@@ -317,8 +317,8 @@ def cmd_validate(args) -> int:
         raise ValueError("weight file classifiers do not match the accuracy matrix")
     if classes.names != v.classes.names:
         raise ValueError("weight file classes do not match the accuracy matrix")
-    k = args.k if args.k is not None else selection.count
-    report = validate_constraints(v, weights, selection, _hyperparams(args, max(k, 1)),
+    k = args.k if args.k is not None else max(selection.count, 1)
+    report = validate_constraints(v, weights, selection, _hyperparams(args, k),
                                   **_given(args, tol="tol"))
     for check in report.checks:
         state = "ok" if check.satisfied else "VIOLATED"

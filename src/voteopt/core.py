@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from mmap import ACCESS_COPY, mmap
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,8 +41,13 @@ _EXACT_SCORES = frozenset(map(np.dtype, (
 
 
 def _frozen_array(values, dtype=np.float64, ndim=None) -> np.ndarray:
+    nbytes = values.size * np.dtype(dtype).itemsize if isinstance(values, np.ndarray) else 0
     if isinstance(values, _Owned):
         arr = np.asarray(values.array, dtype=dtype)
+    elif nbytes >= 1 << 20:
+        # its own mapping: in malloc's heap a copy this large pins freed memory
+        arr = np.ndarray(values.shape, dtype, mmap(-1, nbytes, access=ACCESS_COPY))
+        np.copyto(arr, values, casting="unsafe")
     else:
         arr = np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
@@ -154,11 +160,6 @@ class HyperParams:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.epsilon <= 1e-3:
             raise ValueError(f"epsilon must be in (0, 1e-3], got {self.epsilon}")
-
-    @property
-    def l2_coeff(self) -> float:
-        """Effective quadratic penalty coefficient lam * (1 - alpha)."""
-        return self.lam * (1.0 - self.alpha)
 
 
 @dataclass(frozen=True)

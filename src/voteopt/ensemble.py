@@ -14,8 +14,6 @@ from .metrics import (
     ConfusionMatrix,
     MetricsReport,
     _AuprcScratch,
-    _check_weights,
-    _class_major,
     _nonzero_into,
     _sorted_auprc,
     balanced_accuracy,
@@ -55,9 +53,9 @@ def predict(weights: WeightMatrix, scores: np.ndarray) -> EnsembleOutput:
     if np.any(scores < 0.0):
         raise ValueError("classifier scores must be non-negative")
     combined = (scores * weights.w).sum(axis=0)
-    top = int(np.argmax(combined))
-    tie = bool((combined == combined[top]).sum() > 1)
-    return EnsembleOutput(scores=combined, predicted=top, tie=tie)
+    top, tie = np.empty(1, dtype=np.intp), np.empty(1, dtype=bool)
+    _vote(combined[:, None], top, tie)
+    return EnsembleOutput(scores=combined, predicted=int(top[0]), tie=bool(tie[0]))
 
 
 def predict_batch(
@@ -66,6 +64,14 @@ def predict_batch(
     """Vectorized ``predict`` over a prediction set -> (class indices, tie flags)."""
     _, predicted, ties = _score_and_vote(preds, weights, _workers(len(preds)))
     return predicted, ties
+
+
+def _class_major(m: int, rows: int) -> np.ndarray:
+    """An empty (m, rows) float array, its rows an odd number of 64-byte
+    cache lines apart: rows a large power of two bytes apart share cache
+    sets, and the einsum's transposed writes then run 3-4x slower.
+    """
+    return np.empty((m, 8 * (-(-rows // 8) | 1)))[:, :rows]
 
 
 def _score_and_vote(
@@ -81,9 +87,13 @@ def _score_and_vote(
     of a ``PredictionSet`` score dtype converts exactly, so the scores have
     the bits of the set's float64 copy.
     """
-    _check_weights(preds, weights)
+    if weights.w.shape != (preds.classifiers.n, preds.classes.m):
+        raise ValueError(
+            f"weight shape {weights.w.shape} does not match predictions "
+            f"({preds.classifiers.n} classifiers, {preds.classes.m} classes)"
+        )
     scores = preds.scores
-    rows = len(preds)
+    rows = scores.shape[0]
     ct = _class_major(preds.classes.m, rows)
     predicted = np.empty(rows, dtype=np.intp)
     ties = np.empty(rows, dtype=bool)
@@ -123,6 +133,34 @@ def _vote(ct: np.ndarray, predicted: np.ndarray, ties: np.ndarray) -> None:
     nan = np.isnan(best)
     if nan.any():
         predicted[nan] = ct[:, nan].argmax(axis=0)
+
+
+def _auprc(ct: np.ndarray, truth: np.ndarray, support: np.ndarray,
+           workers: int) -> np.ndarray:
+    """Each class's one-vs-rest AUPRC from class-major (m, N) scores, which
+    it sorts in place, or NaN for a class with no positive; ``support``
+    counts each class's positives in ``truth``. The classes are split over
+    ``workers``; each share's scratch is allocated on the calling thread.
+    """
+    values = np.full(len(ct), np.nan)
+    present = np.flatnonzero(support)
+    shares = min(workers, present.size)
+    scratch = [_AuprcScratch(ct.shape[1], int(support.max())) for _ in range(shares)]
+
+    def class_auprc(i, share):
+        # gather class j's scores, then sort them and its row in place;
+        # mode="clip" (the indices are in range) writes out unbuffered
+        j = present[i]
+        buf, p = scratch[share], int(support[j])
+        np.equal(truth, j, out=buf.flags)
+        _nonzero_into(buf.flags, buf.first)
+        hits = np.take(ct[j], buf.first[:p], out=buf.hits[:p], mode="clip")
+        hits.sort()
+        ct[j].sort()
+        values[j] = _sorted_auprc(ct[j], hits, buf)
+
+    _split(present.size, shares, class_auprc)
+    return values
 
 
 def _cpus() -> int:
@@ -193,8 +231,7 @@ def evaluate(
     one-vs-rest macro AUPRC, with per-class breakdowns.
 
     Every class must appear in the truth: recall, and so balanced accuracy,
-    is undefined for an absent class and raises. No class is skipped in
-    AUPRC, and ``skipped_auprc_classes`` stays empty.
+    is undefined for an absent class and raises before any AUPRC.
 
     The ensemble scores are computed once, class-major (one contiguous row
     per class), and shared by the vote, the tie count and AUPRC. Each
@@ -227,27 +264,9 @@ def evaluate(
     prf = per_class_prf(cm)
     support = cm.counts.sum(axis=1)
 
+    auprc = None
     if include_auprc:
-        shares = min(workers, classes.m)
-        scratch = [_AuprcScratch(len(preds), int(support.max()))
-                   for _ in range(shares)]
-        auprc_values = [0.0] * classes.m
-
-        def class_auprc(j, share):
-            # gather class j's scores, then sort them and its row in place;
-            # mode="clip" (the indices are in range) writes out unbuffered
-            buf, p = scratch[share], int(support[j])
-            np.equal(preds.true_classes, j, out=buf.flags)
-            _nonzero_into(buf.flags, buf.first)
-            hits = np.take(ct[j], buf.first[:p], out=buf.hits[:p], mode="clip")
-            hits.sort()
-            ct[j].sort()
-            auprc_values[j] = _sorted_auprc(ct[j], hits, buf)
-
-        _split(classes.m, shares, class_auprc)
-        macro_auprc_value = float(np.mean(auprc_values))
-    else:
-        macro_auprc_value = None
+        auprc = _auprc(ct, preds.true_classes, support, workers)
 
     per_class = {}
     for j, name in enumerate(classes.names):
@@ -257,8 +276,8 @@ def evaluate(
             "f1": float(prf.f1[j]),
             "support": int(support[j]),
         }
-        if include_auprc:
-            entry["auprc"] = auprc_values[j]
+        if auprc is not None:
+            entry["auprc"] = float(auprc[j])
         per_class[name] = entry
 
     return MetricsReport(
@@ -266,7 +285,7 @@ def evaluate(
         macro_precision=float(prf.precision.mean()),
         macro_recall=float(prf.recall.mean()),
         macro_f1=float(prf.f1.mean()),
-        macro_auprc=macro_auprc_value,
+        macro_auprc=None if auprc is None else float(auprc.mean()),
         per_class=per_class,
         zero_precision_classes=prf.zero_precision_classes,
         tie_count=tie_count,

@@ -56,6 +56,13 @@ def _parse_float(cell: str, path, ln: int, col: str) -> float:
         raise ValueError(f"{path}:{ln}: column {col!r}: not a number: {cell!r}")
 
 
+def _name_set(path, kind, names):
+    try:
+        return kind(names)
+    except ValueError as exc:  # a repeated name
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_matrix(path, marked: bool):
     """(values, classifiers, classes, markers) of a matrix file.
 
@@ -72,16 +79,20 @@ def _read_matrix(path, marked: bool):
     if len(header) < 2:
         raise ValueError(f"{path}: need a classifier column and at least one class")
     end = len(header) - marked
-    classes = tuple(h.strip() for h in header[1:end])
+    classes = _name_set(path, ClassSet, [h.strip() for h in header[1:end]])
     # NaN fails both ranges, and the largest float bars inf
     kind, top, rule = (("weight", np.finfo(float).max, "not a finite number >= 0") if marked
                        else ("accuracy", 1.0, "outside [0, 1]"))
-    values = []
+    values, lines = [], {}
     for ln, row in enumerate(rows[1:], start=2):
-        for col, cell in zip(classes, row[1:end]):
+        name = row[0].strip()
+        if lines.setdefault(name, ln) != ln:
+            raise ValueError(f"{path}:{ln}: duplicate classifier {name!r}, "
+                             f"first on line {lines[name]}")
+        for col, cell in zip(classes.names, row[1:end]):
             values.append(_parse_float(cell, path, ln, col))
             if not 0.0 <= values[-1] <= top:
-                raise ValueError(f"{path}:{ln}: {kind} for ({row[0].strip()}, {col}) "
+                raise ValueError(f"{path}:{ln}: {kind} for ({name}, {col}) "
                                  f"is {values[-1]}, {rule}")
         if marked and (marker := row[-1].strip().lower()) not in ("true", "false"):
             raise ValueError(
@@ -89,9 +100,8 @@ def _read_matrix(path, marked: bool):
             )
     if len(rows) < 2:
         raise ValueError(f"{path}: no classifier rows")
-    names = tuple(row[0].strip() for row in rows[1:])
-    return (np.array(values).reshape(len(names), len(classes)), ClassifierSet(names),
-            ClassSet(classes), [row[-1].strip().lower() == "true" for row in rows[1:]])
+    return (np.array(values).reshape(len(lines), classes.m), ClassifierSet(tuple(lines)),
+            classes, [row[-1].strip().lower() == "true" for row in rows[1:]])
 
 
 def _write_matrix(path, columns, names, values, markers=()) -> None:
@@ -217,7 +227,7 @@ class _PredictionTable:
             raise ValueError(
                 f"{path}: classes {cls_names} do not match expected {classes.names}"
             )
-        self.classifiers = classifiers or ClassifierSet(clf_names)
+        self.classifiers = classifiers or _name_set(path, ClassifierSet, clf_names)
         # a hard table read without a class set takes its classes from the
         # union of its label cells, known after the last record
         self.classes = classes or (ClassSet(cls_names) if self.soft else None)

@@ -239,61 +239,38 @@ def _sorted_auprc(ascending: np.ndarray, hits: np.ndarray, scratch: _AuprcScratc
     return float(np.sum(area))
 
 
-def _check_weights(preds: PredictionSet, weights: WeightMatrix) -> None:
-    if weights.w.shape != (preds.classifiers.n, preds.classes.m):
-        raise ValueError(
-            f"weight shape {weights.w.shape} does not match predictions "
-            f"({preds.classifiers.n} classifiers, {preds.classes.m} classes)"
-        )
-
-
-def _class_major(m: int, rows: int) -> np.ndarray:
-    """An empty (m, rows) float array, its rows an odd number of 64-byte
-    cache lines apart: rows a large power of two bytes apart share cache
-    sets, and the einsum's transposed writes then run 3-4x slower.
-    """
-    return np.empty((m, 8 * (-(-rows // 8) | 1)))[:, :rows]
-
-
 def ensemble_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:
     """Weighted per-class ensemble score for every instance, shape (N, m).
 
-    The array is the transpose of a ``_class_major`` matrix, so its ``.T``
-    has class j's score of every instance in row j, contiguous for a
-    per-class pass such as each class's AUPRC sort. The einsum writes
-    through that transpose and gives the same bits as into a fresh (N, m)
-    array.
+    The scores are ``evaluate``'s: the transpose of its class-major matrix,
+    so the ``.T`` of the result has class j's score of every instance in
+    row j, contiguous for a per-class pass.
     """
-    _check_weights(preds, weights)
-    ct = _class_major(preds.classes.m, preds.scores.shape[0])
-    np.einsum("tij,ij->tj", preds.scores, weights.w, out=ct.T)
-    return ct.T
+    from .ensemble import _score_and_vote, _workers
+
+    return _score_and_vote(preds, weights, _workers(preds.scores.shape[0]))[0].T
 
 
 def auprc_per_class(
     preds: PredictionSet, weights: WeightMatrix
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """One-vs-rest AUPRC per class; absent classes are skipped with a warning.
+    """One-vs-rest AUPRC per class, computed as ``evaluate`` computes it;
+    absent classes are skipped with a warning.
 
     Returns (values with NaN for skipped classes, skipped class names).
     """
-    scores = ensemble_scores(preds, weights).T
-    m = preds.classes.m
-    values = np.full(m, np.nan)
-    skipped = []
-    for j in range(m):
-        pos = preds.true_classes == j
-        if not pos.any():
-            skipped.append(preds.classes.names[j])
-            continue
-        values[j] = binary_auprc(scores[j], pos)
+    from .ensemble import _auprc, _score_and_vote, _workers
+
+    workers = _workers(preds.scores.shape[0])
+    ct = _score_and_vote(preds, weights, workers)[0]
+    support = np.bincount(preds.true_classes, minlength=preds.classes.m)
+    values = _auprc(ct, preds.true_classes, support, workers)
+    skipped = tuple(preds.classes.names[j] for j in np.flatnonzero(support == 0))
     if skipped:
-        warnings.warn(
-            f"classes absent from the truth skipped in AUPRC: {skipped}"
-        )
-    if len(skipped) == m:
+        warnings.warn(f"classes absent from the truth skipped in AUPRC: {list(skipped)}")
+    if len(skipped) == preds.classes.m:
         raise ValueError("no class present in the truth; AUPRC undefined")
-    return values, tuple(skipped)
+    return values, skipped
 
 
 def macro_auprc(preds: PredictionSet, weights: WeightMatrix) -> float:
@@ -320,7 +297,6 @@ class MetricsReport:
     macro_auprc: float | None
     per_class: dict[str, dict[str, float]] = field(default_factory=dict)
     zero_precision_classes: tuple[str, ...] = ()
-    skipped_auprc_classes: tuple[str, ...] = ()
     tie_count: int = 0
 
     def as_dict(self) -> dict:

@@ -52,6 +52,8 @@ CHUNK = 128
 FRONTIER = CHUNK // 2
 # method="auto" enumerates up to this many subsets, the measured crossover
 ENUMERATE_MAX = 500
+# nodes branch-and-bound expands before it gives up with SolverIncomplete
+MAX_NODES = 100_000
 # M of the literal (7) check in validate_constraints; no solver uses it. With
 # binary x and w >= 0 an unselected row's gap eps - rowsum - M is <= 0 for
 # any M >= 1e-3 >= eps, so M changes neither the verdict nor the violation.
@@ -301,7 +303,7 @@ def solve_weighting(
 # --- branch and bound over the selection ----------------------------------------
 
 
-def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
+def _solve_bnb(v, params) -> MipSolution:
     """Best-first branch-and-bound on a per-class top-K bound (Land & Doig 1960).
 
     Classifiers are decided in one fixed order, by descending row sum, each
@@ -353,9 +355,9 @@ def _solve_bnb(v, params, max_nodes: int = 100_000) -> MipSolution:
         if not batch:
             break
         nodes += len(batch)
-        if nodes > max_nodes:
+        if nodes > MAX_NODES:
             raise SolverIncomplete(
-                f"branch-and-bound exceeded {max_nodes} nodes before closing "
+                f"branch-and-bound exceeded {MAX_NODES} nodes before closing "
                 "the search"
             )
         # the children: each node without its next row, then each with it

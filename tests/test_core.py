@@ -1,3 +1,4 @@
+import mmap
 import tracemalloc
 from dataclasses import astuple
 
@@ -110,7 +111,7 @@ class TestObjectiveValue:
         v = random_accuracy_matrix(rng, n=4, m=3)
         p1 = HyperParams(k=2, lam=0.5, alpha=0.8)
         p2 = HyperParams(k=2, lam=0.2, alpha=0.5)
-        assert p1.l2_coeff == pytest.approx(p2.l2_coeff)
+        assert p1.lam * (1 - p1.alpha) == pytest.approx(p2.lam * (1 - p2.alpha))
         for _ in range(10):
             w = rng.random(v.values.shape)
             w /= w.sum(axis=0, keepdims=True)
@@ -134,7 +135,7 @@ class TestObjectiveValue:
                     w[i, j] += delta
                     totals.append(objective_value(v, WeightMatrix(w), p).total)
                 second = totals[0] - 2 * totals[1] + totals[2]
-                assert second == pytest.approx(-p.l2_coeff * h * h, abs=1e-12)
+                assert second == pytest.approx(-p.lam * (1 - p.alpha) * h * h, abs=1e-12)
                 assert second < 0
 
 
@@ -289,9 +290,23 @@ class TestScoreDtypes:
         with pytest.raises(ValueError, match="^scores contain non-finite entries$"):
             _scores_set(scores)
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.float64])
+    def test_a_large_copy_gets_a_private_mapping(self, dtype):
+        # 1 MiB or more: an anonymous mapping of its own, not malloc's heap,
+        # holding the bits np.array gives, from a contiguous or strided input
+        scores = (np.arange((1 << 15) * 8 * 7) % 1000).reshape(-1, 8, 7).astype(dtype)
+        for given in (scores, scores[::-2]):
+            preds = _scores_set(given)
+            held, want = preds.scores, np.array(given, dtype=preds.scores.dtype)
+            assert isinstance(held.base, mmap.mmap) and not held.flags.writeable
+            assert held.shape == want.shape and held.tobytes() == want.tobytes()
+            assert given.flags.writeable and not np.shares_memory(given, held)
+            assert preds.true_classes.base is None  # under 1 MiB: numpy's own
+
     @pytest.mark.parametrize("dtype", [np.uint16, np.float32, np.float64])
     def test_building_a_set_holds_no_second_copy(self, dtype):
-        # the set's own copy, its truth, and no temporary as large as the set
+        # no temporary as large as the set; its own copy and truth (1 MiB or
+        # more each) are private mappings, which tracemalloc does not see
         rows = 1 << 18
         scores = np.ones((rows, 8, 7), dtype=dtype)
         ids = tuple(map(str, range(rows)))

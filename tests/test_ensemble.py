@@ -216,10 +216,10 @@ def reference_evaluate(weights, preds, include_auprc=True):
     bal_acc = balanced_accuracy(cm)
     prf = per_class_prf(cm)
     if include_auprc:
-        values, skipped = reference_auprc(preds, weights)
+        values, _ = reference_auprc(preds, weights)
         macro = float(np.nanmean(values))
     else:
-        values, skipped, macro = np.full(m, np.nan), (), None
+        values, macro = np.full(m, np.nan), None
     support = counts.sum(axis=1)
     per_class = {}
     for j, name in enumerate(names):
@@ -240,7 +240,6 @@ def reference_evaluate(weights, preds, include_auprc=True):
         macro_auprc=macro,
         per_class=per_class,
         zero_precision_classes=prf.zero_precision_classes,
-        skipped_auprc_classes=skipped,
         tie_count=int(ties.sum()),
     )
 

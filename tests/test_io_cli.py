@@ -974,3 +974,96 @@ class TestCliTuneSweep:
         assert (f"K range {k_min}..{k_max} must sit inside 2..4"
                 in capsys.readouterr().err)
         assert not table.exists()
+
+
+MATRIX = "classifier,x,y\nA,0.9,0.8\nB,0.6,0.7\n"
+WEIGHTS = "classifier,x,y,selected\nA,0.5,0.5,true\nB,0.5,0.5,true\n"
+EVALUATE = ["evaluate", "--weights", "{w}", "--predictions", "{p}", "--out-report", "{r}"]
+RESAMPLE = ["resample", "--labels", "{l}", "--out-indices", "{r}",
+            "--out-distribution", "{r}", "--target-rho", "1"]
+BASELINES = ["baselines", "--matrix", D2_CSV, "--out-dir", "{r}", "--k"]
+
+
+class TestCliInputErrors:
+    """Each input error exits 2 with one line naming what is wrong and where."""
+
+    @pytest.mark.parametrize("files, argv, message", [
+        pytest.param({"m": ""}, ["optimize", "--matrix", "{m}"], "{m}: empty file",
+                     id="empty-file"),
+        pytest.param({"w": MATRIX}, EVALUATE, "{w}: expected a trailing 'selected' column",
+                     id="weights-without-selected"),
+        pytest.param({"m": "classifier\nA\n"}, ["optimize", "--matrix", "{m}"],
+                     "{m}: need a classifier column and at least one class",
+                     id="one-column-header"),
+        pytest.param({"m": "classifier,x,y\n"}, ["optimize", "--matrix", "{m}"],
+                     "{m}: no classifier rows", id="header-only-matrix"),
+        pytest.param({"w": WEIGHTS, "p": "instance_id,true_class,A:x,A:y,B\ni0,x,1,0,x\n"},
+                     EVALUATE, "{p}: score column 'B' is not of the form "
+                     "'<classifier>:<class>'", id="soft-column-without-colon"),
+        pytest.param({"w": WEIGHTS, "p": "instance_id,true_class,A,C\ni0,x,x,y\n"},
+                     EVALUATE, "{p}: classifiers ('A', 'C') do not match expected "
+                     "('A', 'B')", id="classifier-mismatch"),
+        pytest.param({"w": WEIGHTS,
+                      "p": "instance_id,true_class,A:x,A:z,B:x,B:z\ni0,x,1,0,1,0\n"},
+                     EVALUATE, "{p}: classes ('x', 'z') do not match expected "
+                     "('x', 'y')", id="class-mismatch"),
+        pytest.param({"l": ""}, RESAMPLE, "{l}: empty label file", id="empty-labels"),
+        pytest.param({"l": "class\n"}, RESAMPLE, "{l}: header only, no labels",
+                     id="header-only-labels"),
+        pytest.param({}, BASELINES + ["8", "--de-f", "0"],
+                     "differential weight must be in (0, 2], got 0.0", id="de-f-zero"),
+        pytest.param({}, BASELINES + ["8", "--de-f", "2.5"],
+                     "differential weight must be in (0, 2], got 2.5", id="de-f-above-two"),
+        pytest.param({}, BASELINES + ["8", "--de-cr", "-0.1"],
+                     "crossover rate must be in [0, 1], got -0.1", id="de-cr-negative"),
+        pytest.param({}, BASELINES + ["8", "--de-cr", "1.5"],
+                     "crossover rate must be in [0, 1], got 1.5", id="de-cr-above-one"),
+        pytest.param({}, BASELINES + ["0"], "ensemble size must be in 1..8, got 0",
+                     id="baselines-k-zero"),
+        pytest.param({"m": MATRIX, "w": WEIGHTS},
+                     ["validate", "--matrix", "{m}", "--weights", "{w}", "--k", "0"],
+                     "ensemble size k must be >= 1, got 0", id="validate-k-zero"),
+        pytest.param({"m": MATRIX, "w": WEIGHTS},
+                     ["validate", "--matrix", "{m}", "--weights", "{w}", "--k", "-2"],
+                     "ensemble size k must be >= 1, got -2", id="validate-k-negative"),
+        pytest.param({"m": "classifier,x,y\nA,0.9,0.8\nB,0.6,0.7\nA,0.5,0.5\n"},
+                     ["optimize", "--matrix", "{m}"],
+                     "{m}:4: duplicate classifier 'A', first on line 2",
+                     id="accuracy-duplicate-classifier"),
+        pytest.param({"m": "classifier,x,x\nA,0.9,0.8\n"}, ["optimize", "--matrix", "{m}"],
+                     "{m}: duplicate class names: ['x', 'x']",
+                     id="accuracy-duplicate-class"),
+        pytest.param({"m": MATRIX, "w": WEIGHTS + "A,0.5,0.5,false\n"},
+                     ["validate", "--matrix", "{m}", "--weights", "{w}"],
+                     "{w}:4: duplicate classifier 'A', first on line 2",
+                     id="weights-duplicate-classifier"),
+        pytest.param({"m": MATRIX, "w": "classifier,y,y,selected\nA,0.5,0.5,true\n"},
+                     ["validate", "--matrix", "{m}", "--weights", "{w}"],
+                     "{w}: duplicate class names: ['y', 'y']",
+                     id="weights-duplicate-class"),
+    ])
+    def test_exits_two_with_message(self, tmp_path, capsys, files, argv, message):
+        paths = {key: str(tmp_path / f"{key}.csv") for key in "mwplr"}
+        for key, text in files.items():
+            Path(paths[key]).write_text(text)
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] == "optimize":
+            argv += ["--k", "1", "--out-weights", paths["r"], "--out-report", paths["r"]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, f"error: {message.format(**paths)}\n")
+        assert captured.out == ""
+
+    def test_hard_header_with_a_repeated_classifier_names_the_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("instance_id,true_class,A,A\ni0,x,x,y\n")
+        with pytest.raises(ValueError) as exc:
+            io.read_predictions(path)
+        assert str(exc.value) == f"{path}: duplicate classifier names: ['A', 'A']"
+
+    def test_validate_counts_the_selection_when_k_is_not_given(self, tmp_path, capsys):
+        matrix, weights = tmp_path / "m.csv", tmp_path / "w.csv"
+        matrix.write_text(MATRIX)
+        weights.write_text(WEIGHTS)
+        main(["validate", "--matrix", str(matrix), "--weights", str(weights)])
+        assert "(4) ensemble-size: ok" in capsys.readouterr().out

@@ -108,7 +108,7 @@ class TestSolveWeighting:
         sol = solve_weighting(d2_matrix, params)
         vals = d2_matrix.values
         expected = np.column_stack([
-            _project_simplex(vals[:, j] / (5 * params.l2_coeff))
+            _project_simplex(vals[:, j] / (5 * params.lam * (1 - params.alpha)))
             for j in range(5)
         ])
         assert sol.weights.w == pytest.approx(expected, abs=1e-6)

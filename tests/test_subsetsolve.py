@@ -2,7 +2,6 @@
 simplex-vertex stage and its failure modes, the solve counters, and the
 branch-and-bound search built on the closed-form bound."""
 
-import functools
 import itertools
 import json
 import math
@@ -472,13 +471,13 @@ class TestVertexStage:
 
 
 class TestNodeLimit:
-    def test_library_raises(self):
+    def test_library_raises(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_NODES", 3)
         with pytest.raises(SolverIncomplete, match="3 nodes"):
-            optimizer._solve_bnb(_matrix(D2_VALUES), HyperParams(k=4), max_nodes=3)
+            optimizer._solve_bnb(_matrix(D2_VALUES), HyperParams(k=4))
 
     def test_cli_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(optimizer, "_solve_bnb",
-                            functools.partial(optimizer._solve_bnb, max_nodes=3))
+        monkeypatch.setattr(optimizer, "MAX_NODES", 3)
         code = main([
             "optimize", "--matrix", D2_CSV, "--k", "4",
             "--method", "bnb",
@@ -633,12 +632,12 @@ class TestBatchedSearch:
         assert all(r.objective is None for r in enum)
         assert list(bnb) == [r for r in enum if r.subset in {s.subset for s in bnb}]
 
-    def test_infeasible_pool_closes_at_the_root(self):
+    def test_infeasible_pool_closes_at_the_root(self, monkeypatch):
         # every class floor exceeds every entry: both children of the root
         # are bounded -inf and pruned, so the search closes after one node
+        monkeypatch.setattr(optimizer, "MAX_NODES", 10)
         with pytest.raises(AllSubsetsInfeasible):
-            optimizer._solve_bnb(_matrix(np.full((40, 2), 0.7)), HyperParams(k=20),
-                                 max_nodes=10)
+            optimizer._solve_bnb(_matrix(np.full((40, 2), 0.7)), HyperParams(k=20))
 
     def test_subsets_bounded_infeasible_are_not_solved(self):
         # the include-first leaf, rows 0-2, is below the class-1 floor
