@@ -14,8 +14,7 @@ from .metrics import (
     ConfusionMatrix,
     MetricsReport,
     _AuprcScratch,
-    _nonzero_into,
-    _sorted_auprc,
+    _auprc_core,
     balanced_accuracy,
     per_class_prf,
 )
@@ -50,6 +49,8 @@ def predict(weights: WeightMatrix, scores: np.ndarray) -> EnsembleOutput:
             f"score block shape {scores.shape} does not match weights "
             f"{weights.w.shape}"
         )
+    if not np.isfinite(scores).all():
+        raise ValueError("scores contain non-finite entries")
     if np.any(scores < 0.0):
         raise ValueError("classifier scores must be non-negative")
     combined = (scores * weights.w).sum(axis=0)
@@ -137,10 +138,10 @@ def _vote(ct: np.ndarray, predicted: np.ndarray, ties: np.ndarray) -> None:
 
 def _auprc(ct: np.ndarray, truth: np.ndarray, support: np.ndarray,
            workers: int) -> np.ndarray:
-    """Each class's one-vs-rest AUPRC from class-major (m, N) scores, which
-    it sorts in place, or NaN for a class with no positive; ``support``
-    counts each class's positives in ``truth``. The classes are split over
-    ``workers``; each share's scratch is allocated on the calling thread.
+    """Each class's one-vs-rest AUPRC from class-major (m, N) scores, or NaN
+    for a class with no positive; ``support`` counts each class's positives
+    in ``truth``. The classes are split over ``workers``; each share's
+    scratch is allocated on the calling thread.
     """
     values = np.full(len(ct), np.nan)
     present = np.flatnonzero(support)
@@ -148,16 +149,10 @@ def _auprc(ct: np.ndarray, truth: np.ndarray, support: np.ndarray,
     scratch = [_AuprcScratch(ct.shape[1], int(support.max())) for _ in range(shares)]
 
     def class_auprc(i, share):
-        # gather class j's scores, then sort them and its row in place;
-        # mode="clip" (the indices are in range) writes out unbuffered
         j = present[i]
-        buf, p = scratch[share], int(support[j])
-        np.equal(truth, j, out=buf.flags)
-        _nonzero_into(buf.flags, buf.first)
-        hits = np.take(ct[j], buf.first[:p], out=buf.hits[:p], mode="clip")
-        hits.sort()
-        ct[j].sort()
-        values[j] = _sorted_auprc(ct[j], hits, buf)
+        buf = scratch[share]
+        np.equal(truth, j, out=buf.positive)
+        values[j] = _auprc_core(ct[j], buf.positive, int(support[j]), buf)
 
     _split(present.size, shares, class_auprc)
     return values
@@ -235,9 +230,9 @@ def evaluate(
 
     The ensemble scores are computed once, class-major (one contiguous row
     per class), and shared by the vote, the tie count and AUPRC. Each
-    class's AUPRC adds trapezoids only at thresholds holding a positive:
-    every other term is exactly ``0.0`` (see ``binary_auprc``), so the
-    report is the same to the bit as a full trapezoid sum.
+    class's AUPRC is ``binary_auprc``'s, to the bit: it sums the trapezoids
+    at thresholds holding a positive, the only ones that are not ``0.0``,
+    and sorts only the scores at or above the class's lowest positive.
 
     A large set is split over the CPUs this process may run on
     (``os.sched_getaffinity``, else ``os.cpu_count()``), with one worker per

@@ -2,7 +2,11 @@
 
 Balanced accuracy and the macro-averaged precision/recall/F1 family come
 from a confusion matrix; the one-vs-rest macro AUPRC integrates each
-class's precision-recall curve by the trapezoidal rule over recall.
+class's precision-recall curve by the trapezoidal rule over recall. A score
+below a class's lowest positive enters none of its precisions, so only the
+scores at or above it are sorted, and the area sums only the terms at
+thresholds that hold a positive: on the benchmark sets that is within 2 ulp
+of a sum with a zero term at every other distinct score (``binary_auprc``).
 """
 
 from __future__ import annotations
@@ -129,12 +133,15 @@ def binary_auprc(scores: np.ndarray, positive: np.ndarray) -> float:
     ``positive`` of different lengths.
 
     Only thresholds that hold a positive add area: at any other the recall
-    is the one above it, so its trapezoid is ``(x - x) * p / 2``, exactly
-    ``0.0``. Each positive-holding term is computed from its threshold's and
-    the next higher one's counts (its threshold found by ``np.searchsorted``
-    among the distinct scores) and scattered into zeros at its threshold's
-    place. That array equals the full trapezoid array, so its (pairwise)
-    sum is the same to the bit.
+    is the one above it, so its trapezoid is exactly ``0.0``. Each term
+    needs only the counts of scores at or above its threshold and above it,
+    so a score below the lowest positive enters no term: only the negatives
+    at or above the lowest positive are sorted and searched. The area is
+    the ``np.sum`` of the positive thresholds' terms alone, highest first.
+    A sum that also ran over the zeros, one per distinct score, would group
+    its pairwise additions by how many distinct scores lie below the lowest
+    positive; it differs from this one by at most 2 ulp on the paper-scale
+    benchmark sets.
     """
     scores = np.asarray(scores, dtype=np.float64)
     positive = np.asarray(positive, dtype=bool)
@@ -142,10 +149,10 @@ def binary_auprc(scores: np.ndarray, positive: np.ndarray) -> float:
         raise ValueError(
             f"binary_auprc: {scores.size} scores but {positive.size} positive flags"
         )
-    hits = np.sort(np.compress(positive, scores))
-    if hits.size == 0:
+    p = int(np.count_nonzero(positive))
+    if p == 0:
         raise ValueError("binary_auprc requires at least one positive instance")
-    return _sorted_auprc(np.sort(scores), hits, _AuprcScratch(scores.size, hits.size))
+    return _auprc_core(scores, positive, p, _AuprcScratch(scores.size, p))
 
 
 # Entries handled per step where a pass would otherwise make a temporary as
@@ -154,89 +161,82 @@ _BLOCK = 1 << 14
 
 
 class _AuprcScratch:
-    """Buffers for ``_sorted_auprc`` on up to ``n`` scores and ``p`` positives,
-    with room in ``hits`` for a caller to gather the positive scores.
+    """Buffers for ``_auprc_core`` on up to ``n`` scores and ``p`` positives,
+    with a mask in ``positive`` for a caller to mark the positives in.
 
     One set serves any number of calls in turn, so a caller scoring many
     classes allocates it once; each call writes only the prefixes it uses.
     """
 
     def __init__(self, n: int, p: int):
-        self.flags = np.empty(n, dtype=bool)
-        self.first = np.empty(n + 1, dtype=np.intp)
-        self.area = np.empty(n)
-        self.hits = np.empty(p)
-        self.starts = np.empty(p + 1, dtype=np.intp)
+        self.positive = np.empty(n, dtype=bool)
+        self.keep = np.empty(n, dtype=bool)
+        self.negatives = np.empty(n)
+        self.hits = np.empty(p + 1)
+        self.area = np.empty(p)
 
 
-def _run_starts(values: np.ndarray, flags: np.ndarray, out: np.ndarray) -> int:
-    """Write where each run of equal sorted ``values`` starts, then their
-    count, into ``out``, and return the number of runs. ``flags`` is scratch."""
-    n = values.size
-    flags = flags[:n]
-    flags[0] = True
-    np.not_equal(values[1:], values[:-1], out=flags[1:])
-    count = _nonzero_into(flags, out)
-    out[count] = n
-    return count
-
-
-def _nonzero_into(flags: np.ndarray, out: np.ndarray) -> int:
-    """Write the indices of the true ``flags`` into ``out``; return their count.
-
-    The indices are found ``_BLOCK`` flags at a time, so no temporary holds
-    more than a block's.
-    """
+def _compress_into(mask: np.ndarray, values: np.ndarray, out: np.ndarray) -> int:
+    """Copy the ``values`` where ``mask`` is true to the front of ``out`` and
+    return their count, ``_BLOCK`` at a time, so that no temporary holds
+    more than a block's indices."""
     count = 0
-    for lo in range(0, flags.size, _BLOCK):
-        at = np.flatnonzero(flags[lo:lo + _BLOCK])
-        np.add(at, lo, out=out[count:count + at.size])
-        count += at.size
+    for lo in range(0, mask.size, _BLOCK):
+        part = mask[lo:lo + _BLOCK]
+        k = np.count_nonzero(part)
+        np.compress(part, values[lo:lo + _BLOCK], out=out[count:count + k])
+        count += k
     return count
 
 
-def _sorted_auprc(ascending: np.ndarray, hits: np.ndarray, scratch: _AuprcScratch) -> float:
-    """``binary_auprc`` from the sorted scores and the sorted positive scores
-    (at least one), computed in ``scratch``. It overwrites ``ascending``.
+def _auprc_core(scores: np.ndarray, positive: np.ndarray, p: int,
+                scratch: _AuprcScratch) -> float:
+    """``binary_auprc`` of ``scores`` and their ``p`` (at least one) true
+    ``positive`` flags, computed in ``scratch``; ``scores`` is left as is.
 
     It allocates only temporaries of at most ``_BLOCK`` entries: positive
     thresholds are taken a block at a time, each term on its own as in one
-    pass, so the area array, and its sum, are the same to the bit.
+    pass, so the terms, and their sum, are the same to the bit.
     """
-    if np.isnan(ascending[-1]):  # the sort puts NaN last
+    # the filter below drops NaN, so the whole row is tested
+    if np.isnan(scores.max()):
         raise ValueError("binary_auprc: scores contain NaN")
-    n, p_total = ascending.size, hits.size
-    # where each distinct score starts in the sorted scores, then n
-    k = _run_starts(ascending, scratch.flags, scratch.first)
-    first = scratch.first[:k + 1]
-    # the distinct scores, moved to the front of ascending a block at a
-    # time: first[i] >= i, so a block reads only what no earlier block wrote
-    # (take buffers an out that overlaps its input)
-    for lo in range(0, k, _BLOCK):
-        hi = min(lo + _BLOCK, k)
-        np.take(ascending, first[lo:hi], out=ascending[lo:hi])
-    distinct = ascending[:k]
-    # where each distinct positive score starts in the sorted hits, then p_total
-    starts = scratch.starts[:_run_starts(hits, scratch.flags, scratch.starts) + 1]
-    # the sweep runs from the highest threshold down
-    area = scratch.area[:k]
-    area.fill(0.0)
-    for lo in range(0, starts.size - 1, _BLOCK):
-        hi = min(lo + _BLOCK, starts.size - 1)
-        at = starts[lo:hi]
-        # the positives at or above each distinct positive score and above
-        # it, and its threshold
-        tp = p_total - at
-        tp_above = p_total - starts[lo + 1:hi + 1]
-        group = np.searchsorted(distinct, hits[at])
-        precision = tp / (n - first[group])
+    # the sorted positive scores, then a NaN that equals none of them, so
+    # that the last of them ends a run of equal scores
+    ext = scratch.hits[:p + 1]
+    hits = ext[:p]
+    _compress_into(positive, scores, hits)
+    hits.sort()
+    ext[p] = np.nan
+    # the sorted negatives at or above the lowest positive
+    keep = scratch.keep[:scores.size]
+    np.greater_equal(scores, hits[0], out=keep)
+    np.copyto(keep, False, where=positive)
+    negatives = scratch.negatives[:_compress_into(keep, scores, scratch.negatives)]
+    negatives.sort()
+    # the terms, written from the end of area down as the thresholds rise
+    area, end, start = scratch.area[:p], p, 0
+    for lo in range(0, p, _BLOCK):
+        hi = min(lo + _BLOCK, p)
+        # where each run of equal positive scores that ends in this block
+        # starts, then where the last of them ends
+        bounds = np.append(start, lo + 1 + np.flatnonzero(
+            np.not_equal(ext[lo:hi], ext[lo + 1:hi + 1])))
+        start = bounds[-1]
+        # each run's score, the positives at or above it and above it, then
+        # all scores at or above it and above it
+        threshold = hits[bounds[1:] - 1]
+        tp, tp_above = p - bounds[:-1], p - bounds[1:]
+        at_or_above = tp + (negatives.size - np.searchsorted(negatives, threshold))
+        above = tp_above + (negatives.size - np.searchsorted(negatives, threshold, "right"))
+        precision = tp / at_or_above
         # above the top threshold: recall 0 at the top threshold's precision
-        above = n - first[group + 1]
         precision_above = np.divide(tp_above, above, out=precision.copy(),
                                     where=above > 0)
-        area[k - 1 - group] = (tp / p_total - tp_above / p_total) * (
-            precision_above + precision) / 2.0
-    return float(np.sum(area))
+        area[end - threshold.size:end] = ((tp / p - tp_above / p) * (
+            precision_above + precision) / 2.0)[::-1]
+        end -= threshold.size
+    return float(np.sum(area[end:]))
 
 
 def ensemble_scores(preds: PredictionSet, weights: WeightMatrix) -> np.ndarray:

@@ -81,6 +81,13 @@ class TestPredict:
         with pytest.raises(ValueError, match="non-negative"):
             predict(w, np.array([[-0.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # as a PredictionSet rejects them
+        w = WeightMatrix(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="scores contain non-finite entries"):
+            predict(w, [[bad, 0.2, 0.1], [0.1, 0.2, 0.3]])
+
     def test_scale_invariance_of_argmax(self):
         rng = np.random.default_rng(13)
         w = rng.random((4, 3))
@@ -171,8 +178,11 @@ class TestEvaluate:
             evaluate(WeightMatrix([[1.0, 1.0]]), preds)
 
 
-def argsort_auprc(scores, positive):
-    """binary_auprc by a descending argsort and gathers, read at group ends."""
+def argsort_auprc(scores, positive, full=False):
+    """binary_auprc by a descending argsort and gathers, read at group ends:
+    the sum of the terms where recall rises, or with full=True of one term
+    per distinct score, zeros included, which groups the pairwise sum
+    differently and so may differ in the last bits."""
     order = np.argsort(-scores)
     sorted_scores = scores[order]
     sorted_pos = positive[order].astype(np.int64)
@@ -183,7 +193,8 @@ def argsort_auprc(scores, positive):
     precision = tp / (ends + 1)
     r = np.concatenate(([0.0], recall))
     p = np.concatenate(([precision[0]], precision))
-    return float(np.sum(np.diff(r) * (p[:-1] + p[1:]) / 2.0))
+    terms = np.diff(r) * (p[:-1] + p[1:]) / 2.0
+    return float(np.sum(terms if full else terms[np.diff(r) > 0]))
 
 
 def reference_auprc(preds, weights):
@@ -362,6 +373,9 @@ def auprc_edge_cases():
     infinite[rng.random(size) < 0.1] = np.inf
     infinite[rng.random(size) < 0.1] = -np.inf
     signed = rng.choice([-0.0, 0.0, 0.25, -0.5], size=size)
+    zero_low = some & (signed >= 0.0)
+    zero_low[np.flatnonzero(np.signbit(signed) & (signed == 0.0))[0]] = True
+    continuous = rng.random(size)
     cases = {
         "all_positive": (grid, np.ones(size, dtype=bool)),
         "one_positive": (grid, one),
@@ -370,6 +384,16 @@ def auprc_edge_cases():
         "bottom_group_only": (grid, grid == grid.min()),
         "infinities": (infinite, some | np.isinf(infinite) & (rng.random(size) < 0.5)),
         "signed_zeros": (signed, some),
+        # the lowest positive tied with negatives
+        "lowest_tied": (grid, some & (grid >= 0.5)),
+        # -0.0 and 0.0 at the lowest positive, on both classes
+        "signed_zero_lowest": (signed, zero_low),
+        # +inf the only positive threshold, tied with negatives
+        "infinite_lowest": (infinite, some & (infinite == np.inf)),
+        # one positive at the lowest score, so every negative is at or
+        # above it, and one at the highest, so none is
+        "single_at_minimum": (continuous, continuous == continuous.min()),
+        "single_at_maximum": (continuous, continuous == continuous.max()),
     }
     for name, (scores, positive) in cases.items():
         yield pytest.param(scores, positive, id=name)
@@ -385,6 +409,8 @@ class TestAuprcEdgeCases:
         got = binary_auprc(scores, positive)
         want = argsort_auprc(finite, positive)
         assert float_bytes(got) == float_bytes(want)
+        full = argsort_auprc(finite, positive, full=True)
+        assert abs(got - full) <= 4 * np.spacing(full)
 
 
 @contextlib.contextmanager
@@ -475,21 +501,33 @@ class TestWorkerInvariance:
         assert got == want
 
     def test_nan_error_is_the_lowest_class_one(self, monkeypatch):
-        core = ensemble._sorted_auprc
+        core = ensemble._auprc_core
 
-        def tagged(ascending, hits, scratch):
-            if hits.size == 3:
+        def tagged(scores, positive, p, scratch):
+            if p == 3:
                 time.sleep(0.05)  # so that class 2 fails first
             try:
-                return core(ascending, hits, scratch)
+                return core(scores, positive, p, scratch)
             except ValueError as exc:
-                raise ValueError(f"{exc}: {hits.size} positives") from None
+                raise ValueError(f"{exc}: {p} positives") from None
 
-        monkeypatch.setattr(ensemble, "_sorted_auprc", tagged)
+        monkeypatch.setattr(ensemble, "_auprc_core", tagged)
         preds, w = nan_set()
         for count in (1, 2, 3):
             with worker_count(count), np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match="contain NaN: 3 positives$"):
+                    evaluate(w, preds)
+
+    def test_nan_only_below_the_lowest_positive_raises(self):
+        # class 1's scores: 1e10 on its positives, 0 on its negatives but
+        # NaN on one (1e308 - 1e308 overflowing), which no threshold reads
+        big = 1e308
+        rows = [([1, 0], [0, 0])] * 5 + [([0, 1], [0, 0])] * 3 + [([0, big], [0, -big])]
+        preds = make_predictions(rows, [0] * 5 + [1] * 3 + [0], 2, 2)
+        w = WeightMatrix(np.full((2, 2), 1e10))
+        for count in (1, 2, 3):
+            with worker_count(count), np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="scores contain NaN"):
                     evaluate(w, preds)
 
     def test_shape_mismatch_raises_before_any_thread(self, thread_starts):
@@ -544,12 +582,12 @@ class TestWorkerInvariance:
                 scores[scores == 0.0] = rng.choice([-0.0, 0.0], int((scores == 0.0).sum()))
             positive = rng.random(size) < 0.2
             positive[rng.integers(size)] = True
-            got = metrics._sorted_auprc(np.sort(scores), np.sort(scores[positive]), scratch)
+            got = metrics._auprc_core(scores, positive, int(positive.sum()), scratch)
             assert float_bytes(got) == float_bytes(binary_auprc(scores, positive))
             assert float_bytes(got) == float_bytes(argsort_auprc(scores, positive))
             one = np.zeros(size, dtype=bool)
             one[rng.integers(size)] = True
-            got = metrics._sorted_auprc(np.sort(scores), scores[one], scratch)
+            got = metrics._auprc_core(scores, one, 1, scratch)
             assert float_bytes(got) == float_bytes(argsort_auprc(scores, one))
 
 

@@ -184,9 +184,11 @@ class TestBinaryAuprc:
             assert 0.0 <= binary_auprc(scores, positive) <= 1.0
 
     @staticmethod
-    def stable_auprc(scores, positive):
+    def stable_auprc(scores, positive, full=False):
         # binary_auprc with a stable sort: the reference that the default
-        # sort must match bit for bit
+        # sort must match bit for bit. Like binary_auprc it sums only the
+        # terms where recall rises; full=True sums one term per distinct
+        # score, zeros included, which groups the pairwise sum differently
         order = np.argsort(-scores, kind="stable")
         sorted_scores = scores[order]
         sorted_pos = positive[order].astype(np.int64)
@@ -197,7 +199,8 @@ class TestBinaryAuprc:
         precision = tp / (ends + 1)
         r = np.concatenate(([0.0], recall))
         p = np.concatenate(([precision[0]], precision))
-        return float(np.sum(np.diff(r) * (p[:-1] + p[1:]) / 2.0))
+        terms = np.diff(r) * (p[:-1] + p[1:]) / 2.0
+        return float(np.sum(terms if full else terms[np.diff(r) > 0]))
 
     def test_unstable_sort_matches_stable_reference(self):
         rng = np.random.default_rng(11)
@@ -215,13 +218,27 @@ class TestBinaryAuprc:
         kinds["negative"] = -np.floor(signed.random(size) * 2**10) / 2**10
         kinds["mixed_sign"] = signed.choice([-1.5, -0.25, -0.0, 0.0, 0.25], size=size) \
             * signed.integers(1, 4, size=size)
+        infinite = np.floor(signed.random(size) * 2**6) / 2**6
+        infinite[signed.random(size) < 0.05] = np.inf
+        infinite[signed.random(size) < 0.05] = -np.inf
+        kinds["infinite"] = infinite
         for name, scores in kinds.items():
+            # the reference splits tied infinities (inf - inf is NaN);
+            # +-1e300 keep the order and the ties of the finite scores given
+            finite = np.where(np.isinf(scores), np.sign(scores) * 1e300, scores)
+            sets = []
             for rate in (0.002, 0.1, 0.6):
-                positive = rng.random(size) < rate
-                positive[int(rng.integers(size))] = True
+                sets.append(rng.random(size) < rate)
+                sets[-1][int(rng.integers(size))] = True
+            # one positive at the lowest score (every negative at or above
+            # it) and one at the highest (none above it)
+            sets += [np.arange(size) == scores.argmin(), np.arange(size) == scores.argmax()]
+            for positive in sets:
                 got = binary_auprc(scores, positive)
-                want = self.stable_auprc(scores, positive)
+                want = self.stable_auprc(finite, positive)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+                full = self.stable_auprc(finite, positive, full=True)
+                assert abs(got - full) <= 4 * np.spacing(full), name
 
     def test_nan_score_rejected(self):
         positive = np.array([True, False, True, False])
@@ -229,6 +246,12 @@ class TestBinaryAuprc:
             binary_auprc(np.array([np.nan, 0.2, 0.1, np.nan]), positive)
         with pytest.raises(ValueError, match="NaN"):
             binary_auprc(np.array([0.3, 0.2, 0.1, np.nan]), positive)
+        # NaN among the positives only, and among the negatives below the
+        # lowest positive only, where no threshold reads it
+        with pytest.raises(ValueError, match="NaN"):
+            binary_auprc(np.array([0.3, 0.2, np.nan, 0.1]), positive)
+        with pytest.raises(ValueError, match="NaN"):
+            binary_auprc(np.array([0.9, 0.1, 0.8, np.nan]), positive)
 
     def test_infinite_scores_are_thresholds(self):
         positive = np.array([True, False, True, False, True])
