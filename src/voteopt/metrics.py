@@ -182,10 +182,10 @@ def _compress_into(mask: np.ndarray, values: np.ndarray, out: np.ndarray) -> int
     more than a block's indices."""
     count = 0
     for lo in range(0, mask.size, _BLOCK):
-        part = mask[lo:lo + _BLOCK]
-        k = np.count_nonzero(part)
-        np.compress(part, values[lo:lo + _BLOCK], out=out[count:count + k])
-        count += k
+        at = np.flatnonzero(mask[lo:lo + _BLOCK])
+        # mode="clip" (the indices are in range) writes out unbuffered
+        np.take(values[lo:lo + _BLOCK], at, out=out[count:count + at.size], mode="clip")
+        count += at.size
     return count
 
 
@@ -211,7 +211,8 @@ def _auprc_core(scores: np.ndarray, positive: np.ndarray, p: int,
     # the sorted negatives at or above the lowest positive
     keep = scratch.keep[:scores.size]
     np.greater_equal(scores, hits[0], out=keep)
-    np.copyto(keep, False, where=positive)
+    # keep and not positive (np.copyto with where= is about 14x slower)
+    np.greater(keep, positive, out=keep)
     negatives = scratch.negatives[:_compress_into(keep, scores, scratch.negatives)]
     negatives.sort()
     # the terms, written from the end of area down as the thresholds rise
