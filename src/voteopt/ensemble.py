@@ -51,8 +51,6 @@ def predict(weights: WeightMatrix, scores: np.ndarray) -> EnsembleOutput:
         )
     if not np.isfinite(scores).all():
         raise ValueError("scores contain non-finite entries")
-    if np.any(scores < 0.0):
-        raise ValueError("classifier scores must be non-negative")
     combined = (scores * weights.w).sum(axis=0)
     top, tie = np.empty(1, dtype=np.intp), np.empty(1, dtype=bool)
     _vote(combined[:, None], top, tie)

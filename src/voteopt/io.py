@@ -33,15 +33,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _records(fh, path):
-    """The csv records of an open file, each checked against the header's width."""
+def _records(fh, path, width=None, first_line=2):
+    """The csv records of an open file, each checked against the header's
+    width; the first of them is the header unless ``width`` is given."""
     records = csv.reader(fh)
-    header = next(records, None)
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    yield header
-    width = len(header)
-    for ln, row in enumerate(records, start=2):
+    if width is None:
+        header = next(records, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        yield header
+        width = len(header)
+    for ln, row in enumerate(records, start=first_line):
         if len(row) != width:
             raise ValueError(
                 f"{path}:{ln}: expected {width} columns, found {len(row)}"
@@ -173,9 +175,12 @@ def _soft_header_layout(columns, path):
     return classifiers, classes
 
 
-# records of a prediction table converted at a time: the reader holds the
-# cells of one block as strings, and the arrays read so far
+# records of a prediction table converted at a time: the reader holds one
+# block's lines (and on the csv path its cells as strings), and the arrays
+# read so far
 _BLOCK_ROWS = 4096
+# the first 0 to 8 bytes of a little-endian word
+_MASKS = np.array([(1 << 8 * i) - 1 for i in range(9)], np.uint64)
 
 
 class _LabelCodes(dict):
@@ -202,9 +207,10 @@ class _LabelCodes(dict):
 class _PredictionTable:
     """The layout of a predictions table and the arrays read from its body.
 
-    The constructor makes the header checks; ``add`` converts one block of
-    records, given as their cells in row-major order; ``finish`` makes the
-    checks that need the whole body, then builds the PredictionSet.
+    The constructor makes the header checks; ``add_plain`` converts one
+    block of records given as lines, and ``add`` one given as their cells in
+    row-major order; ``finish`` makes the checks that need the whole body,
+    then builds the PredictionSet.
     """
 
     def __init__(self, path, header, classifiers, classes):
@@ -267,6 +273,75 @@ class _PredictionTable:
         self.code_blocks.append(codes)
         self.ids += map(str.strip, cells[::self.width])
 
+    def add_plain(self, lines: list[str]) -> bool:
+        """Convert one block of records, one a line, without a str per cell.
+
+        Returns False, having converted nothing, if the block is empty, is
+        not plain (see read_predictions), or holds a cell that the csv path
+        would reject, so that ``add`` names it.
+        """
+        codes = self._plain_label_codes(lines)
+        if codes is None:
+            return False
+        if self.soft:
+            try:  # float()'s parser, except that it rejects cells like "1_0"
+                self.score_blocks.append(np.loadtxt(
+                    lines, delimiter=",", usecols=range(2, self.width),
+                    comments=None, quotechar=None, ndmin=2).reshape(-1))
+            except ValueError:
+                return False
+        self.code_blocks.append(codes)
+        self.ids += (line.partition(",")[0].strip() for line in lines)
+        self.rows += len(lines)
+        return True
+
+    def _plain_label_codes(self, lines: list[str]):
+        """The (rows, label columns) codes of a plain block whose labels are
+        all known, found in its UTF-8 bytes; otherwise None."""
+        if not lines:
+            return None
+        rows, width = len(lines), self.width
+        # every line ended, then 7 bytes so that a word fits after any cell
+        end = "\0" * 7 if lines[-1].endswith("\n") else "\n" + "\0" * 7
+        data = np.frombuffer("".join([*lines, end]).encode(), np.uint8)
+        special = np.flatnonzero(data[:-7] <= ord(","))
+        kind = data.take(special)
+        seps = special[(kind == ord(",")) | (kind == ord("\n"))]
+        # not plain: '"', NUL, 0x1c-0x1f (numpy's float parser strips them
+        # as space, float() does not), or a line not of ``width`` cells. Each
+        # line is a record, so a line that a lone "\r" ends without "\n"
+        # leaves the block a "\n" short, unless it is the last, which csv
+        # ends there too
+        if ((kind == ord('"')).any() or (kind == 0).any()
+                or ((kind >= 0x1c) & (kind <= 0x1f)).any()
+                or len(seps) != rows * width
+                or (data.take(seps[width - 1::width]) != ord("\n")).any()):
+            return None
+        # the label cells: the true class, and in the hard layout the votes
+        seps = seps.reshape(rows, width)
+        last = 2 if self.soft else width
+        starts = (seps[:, :last - 1] + 1).ravel()
+        lengths = seps[:, 1:last].ravel() - starts
+        # the cells grouped by their bytes, compared 8 at a time as words
+        # (a word may start at any byte); no NUL, so zero padding is unique
+        words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
+        group = None
+        for k in range(0, max(int(lengths.max()), 1), 8):
+            word = (words[np.minimum(starts + k, len(words) - 1)]
+                    & _MASKS.take(lengths - k, mode="clip"))
+            rank = np.unique(word, return_inverse=True)[1]
+            group = rank if group is None else np.unique(
+                group * len(rank) + rank, return_inverse=True)[1]
+        first = np.full(group.max() + 1, len(group))
+        np.minimum.at(first, group, np.arange(len(group)))
+        lut = np.empty_like(first)
+        for i in np.sort(first):  # each label once, in order of first appearance
+            cell = data[starts[i]:starts[i] + lengths[i]].tobytes().decode()
+            lut[group[i]] = self.codes[cell]
+        if lut.min() < 0:
+            return None  # an unknown label
+        return lut[group].reshape(rows, -1)
+
     def _raise_first_bad_cell(self, cells: list[str], first_line: int) -> None:
         # each record's true class, then its cells
         index, header, path = self.codes.index, self.header, self.path
@@ -328,10 +403,16 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
     ``classes`` to reject it.
 
     The file is read in one pass, converting ``_BLOCK_ROWS`` records at a
-    time, so memory is the arrays read plus one block of cells. Errors
-    come in file order within each kind: a record of the wrong width is
-    raised when it is met; after the last record come the header and set
-    checks, "no instances", then the first bad cell.
+    time, so memory is the arrays read plus one block. A *plain* block
+    (no '"', NUL or bytes 0x1c-0x1f, and the header's width on every line)
+    is converted from its bytes: its labels are compared as words, each
+    distinct one looked up once, and its scores parsed by ``np.loadtxt``.
+    The first block that is not plain, or that holds a cell the csv path
+    would reject, and every block after it, are read by ``csv`` as cells,
+    so errors are those of the csv path. They come in file order within
+    each kind: a record of the wrong width is raised when it is met; after
+    the last record come the header and set checks, "no instances", then
+    the first bad cell.
     """
     with open(path, newline="") as fh:
         records = _records(fh, path)
@@ -341,7 +422,14 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
         except ValueError:
             deque(records, maxlen=0)  # a ragged record is reported first
             raise
+        records = None
         for first_line in count(2, _BLOCK_ROWS):
+            if records is None:
+                lines = list(islice(fh, _BLOCK_ROWS))
+                if table.add_plain(lines):
+                    continue
+                # this block and every later one go through csv
+                records = _records(chain(lines, fh), path, table.width, first_line)
             cells = list(chain.from_iterable(islice(records, _BLOCK_ROWS)))
             if not cells:
                 break

@@ -51,13 +51,12 @@ class ConfusionMatrix:
                 f"{true_idx.size} true class indices but {pred_idx.size} predictions"
             )
         for kind, idx in (("true", true_idx), ("predicted", pred_idx)):
-            bad = (idx < 0) | (idx >= m)
-            if bad.any():
-                raise ValueError(
-                    f"{kind} class index {idx[bad][0]} outside [0, {m})"
-                )
-        pairs = (true_idx * m + pred_idx).ravel()
-        counts = np.bincount(pairs, minlength=m * m).reshape(m, m)
+            if idx.size and (idx.min() < 0 or idx.max() >= m):
+                bad = idx[(idx < 0) | (idx >= m)]
+                raise ValueError(f"{kind} class index {bad[0]} outside [0, {m})")
+        pairs = true_idx * m
+        pairs += pred_idx
+        counts = np.bincount(pairs.ravel(), minlength=m * m).reshape(m, m)
         return cls(counts, class_names)
 
     @property

@@ -76,10 +76,19 @@ class TestPredict:
         assert out.tie
         assert out.predicted == 0
 
-    def test_negative_scores_rejected(self):
-        w = WeightMatrix([[1.0]])
-        with pytest.raises(ValueError, match="non-negative"):
-            predict(w, np.array([[-0.1]]))
+    def test_negative_scores_vote_as_in_predict_batch(self):
+        # any finite score is accepted, as a PredictionSet accepts it
+        w = WeightMatrix([[1.0, 1.0, 0.5], [0.5, 1.0, 1.0]])
+        scores = np.array([
+            [[-0.1, 0.2, -0.3], [0.4, -0.5, 0.0]],
+            [[-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0]],  # classes 0 and 2 tie below zero
+            [[-1e308, 0.0, -3.0], [-0.25, -0.5, -0.75]],
+        ])
+        predicted, ties = predict_batch(w, make_predictions(scores, np.zeros(3), 2, 3))
+        for r, block in enumerate(scores):
+            out = predict(w, block)
+            assert (out.predicted, out.tie) == (predicted[r], ties[r])
+        assert ties.tolist() == [False, True, False]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):

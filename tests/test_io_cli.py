@@ -278,6 +278,23 @@ class TestPredictionsIo:
         assert self.read_error(tmp_path, text) == (
             f"path:{2 * io._BLOCK_ROWS + 3}: expected 4 columns, found 3"
         )
+        # a plain first block, read from its bytes; then a block with an
+        # unknown label, which goes through csv as every later block does
+        sets = dict(classes=ClassSet(("x", "y")))
+        for head, cells, bad_row, message in [
+            ("instance_id,true_class,c0,c1\n", "x,y", "odd,x,q,y\n", "column 'c0': unknown class"),
+            ("instance_id,true_class,c0:x,c0:y\n", "0.5,0.5", "odd,q,0.5,0.5\n",
+             "unknown true class"),
+        ]:
+            rows = [f"i{t},x,{cells}\n" for t in range(3 * io._BLOCK_ROWS)]
+            rows[io._BLOCK_ROWS + 5] = bad_row
+            text = head + "".join(rows)
+            assert self.read_error(tmp_path, text + "late,x,y\n", **sets) == (
+                f"path:{3 * io._BLOCK_ROWS + 2}: expected 4 columns, found 3"
+            )
+            assert self.read_error(tmp_path, text, **sets) == (
+                f"path:{io._BLOCK_ROWS + 7}: {message} 'q'"
+            )
 
     def test_ragged_row_after_a_bad_header_is_reported(self, tmp_path):
         rows = "".join(f"i{t},x,y\n" for t in range(io._BLOCK_ROWS))
@@ -357,6 +374,101 @@ class TestPredictionsIo:
         assert hard.true_classes.tobytes() == truth.astype(np.int64).tobytes()
         assert hard.scores.tobytes() == one_hot.tobytes()
         assert io.read_predictions(path).scores.tobytes() == one_hot.tobytes()
+
+    # labels of 1, 8, 9 and 17 bytes, and non-ASCII ones of 2 and 9 bytes
+    LABELS = ("a", "abcdefgh", "abcdefghi", "abcdefghijklmnopq", "é", "日本語")
+
+    def plain_table(self, layout, rows, eol="\n", final_eol=True, cell=None):
+        """A table whose blocks are plain, apart from ``cell`` as the last
+        score of the second block's third record, with ids and labels padded
+        with spaces and ids that begin with '#'."""
+        rng = np.random.default_rng(rows)
+        names = self.LABELS
+        soft = layout == "soft"
+        columns = ([f"c{i}:{k}" for i in range(2) for k in names] if soft
+                   else ["c0", "c1", "c2"])
+        lines = [",".join(["instance_id", "true_class", *columns])]
+        for t in range(rows):
+            pad = " " * (t % 3)
+            labels = [pad + names[j] + pad[:1] for j in rng.integers(0, len(names), 4)]
+            cells = [repr(x) for x in rng.random(len(columns)).tolist()] if soft else labels[1:]
+            lines.append(",".join([f"#i{t}" if t % 5 == 0 else f"{pad}i{t}",
+                                   labels[0], *cells]))
+        if cell is not None:
+            lines[io._BLOCK_ROWS + 3] = lines[io._BLOCK_ROWS + 3].rsplit(",", 1)[0] + "," + cell
+        return eol.join(lines) + (eol if final_eol else "")
+
+    def read_both_ways(self, tmp_path, monkeypatch, text, **sets):
+        """Read the table as written, and with its first id quoted (the same
+        cell to csv), which sends every block through csv. Returns each read
+        as its PredictionSet's fields or its error, and the first lines of
+        the blocks that the read as written sent through csv."""
+        csv_blocks, add = [], io._PredictionTable.add
+
+        def spy(table, cells, first_line):
+            csv_blocks.append(first_line)
+            add(table, cells, first_line)
+
+        monkeypatch.setattr(io._PredictionTable, "add", spy)
+        head, first, rest = text.split("\n", 2)
+        iid, cells = first.split(",", 1)
+        reads = []
+        for body in (text, f'{head}\n"{iid}",{cells}\n{rest}'):
+            if reads:
+                as_written, csv_blocks[:] = csv_blocks[:], []
+            p = tmp_path / "table.csv"
+            p.write_bytes(body.encode())
+            try:
+                got = io.read_predictions(p, **sets)
+                reads.append((got.instance_ids, got.true_classes.tobytes(),
+                              got.scores.tobytes(), got.scores.shape,
+                              got.classifiers.names, got.classes.names))
+            except ValueError as exc:
+                reads.append(str(exc))
+        assert csv_blocks[0] == 2  # the quoted id's block and all after it
+        return reads, as_written
+
+    @pytest.mark.parametrize("rows", [io._BLOCK_ROWS - 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("eol, final_eol", [("\n", True), ("\r\n", True), ("\n", False)])
+    @pytest.mark.parametrize("layout", ["soft", "hard"])
+    @pytest.mark.parametrize("with_classes", [False, True])
+    def test_plain_blocks_read_as_csv_reads_them(self, tmp_path, monkeypatch, rows, eol,
+                                                 final_eol, layout, with_classes):
+        text = self.plain_table(layout, rows, eol, final_eol)
+        # the class set in an order of its own, which the read keeps
+        sets = dict(classes=ClassSet(self.LABELS)) if with_classes else {}
+        (plain, via_csv), csv_blocks = self.read_both_ways(tmp_path, monkeypatch, text, **sets)
+        assert csv_blocks == []
+        assert plain == via_csv
+        ids, classes = plain[0], plain[-1]
+        assert len(ids) == rows and ids[:2] == ("#i0", "i1")
+        assert classes == (self.LABELS if with_classes or layout == "soft"
+                           else tuple(sorted(self.LABELS)))
+
+    def test_lone_carriage_returns_read_as_csv_reads_them(self, tmp_path, monkeypatch):
+        # a lone "\r" ends a record, to csv as to the line reader: a block
+        # whose last line ends so is read from its bytes, a block with such
+        # a line inside it goes through csv
+        lines = self.plain_table("hard", 2 * io._BLOCK_ROWS + 3).split("\n")[:-1]
+        lone = (io._BLOCK_ROWS, io._BLOCK_ROWS + 9, len(lines) - 1)
+        text = "".join(line + ("\r" if i in lone else "\n") for i, line in enumerate(lines))
+        (got, via_csv), csv_blocks = self.read_both_ways(tmp_path, monkeypatch, text)
+        assert got == via_csv and len(got[0]) == 2 * io._BLOCK_ROWS + 3
+        assert csv_blocks == [2 + io._BLOCK_ROWS, 2 + 2 * io._BLOCK_ROWS]
+
+    @pytest.mark.parametrize("cell, plain", [
+        ("1_0", False), (" 0.5 ", True), ("１", False),  # a fullwidth digit
+        ("#1", False), ("\x1c1", False), ('"0.5"', False),
+    ])
+    def test_score_cells_read_as_csv_reads_them(self, tmp_path, monkeypatch, cell, plain):
+        text = self.plain_table("soft", 2 * io._BLOCK_ROWS + 3, cell=cell)
+        (got, via_csv), csv_blocks = self.read_both_ways(tmp_path, monkeypatch, text)
+        assert got == via_csv
+        # the block that holds the cell and every later one go through csv
+        assert csv_blocks == ([] if plain else [2 + io._BLOCK_ROWS, 2 + 2 * io._BLOCK_ROWS])
+        if isinstance(got, str):
+            assert got.endswith(f"table.csv:{io._BLOCK_ROWS + 4}: column 'c1:日本語': "
+                                f"not a number: {cell!r}")
 
     def test_misordered_score_columns_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -109,6 +109,14 @@ class TestConfusionFromPredictions:
         with pytest.raises(ValueError, match="true class index 5 outside"):
             ConfusionMatrix.from_predictions([5], [0], 3)
 
+    def test_first_bad_index_reported_by_value(self):
+        # the first out-of-range index in order, not the extreme that failed
+        # the range test
+        with pytest.raises(ValueError, match=r"predicted class index 4 outside \[0, 3\)"):
+            ConfusionMatrix.from_predictions([0] * 5, [1, 4, -3, 9, 0], 3)
+        with pytest.raises(ValueError, match=r"true class index -5 outside \[0, 3\)"):
+            ConfusionMatrix.from_predictions([[2, -5], [7, 0]], np.zeros((2, 2)), 3)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="3 true class indices but 2 predictions"):
             ConfusionMatrix.from_predictions([0, 1, 1], [0, 1], 2)
