@@ -175,27 +175,25 @@ def de_weights(
     return WeightMatrix(np.repeat(genome[:, None], vals.shape[1], axis=1))
 
 
-SCHEMES = ("uw_pc", "uw_pcc", "wa_pc", "wa_pcc", "de", "bma")
+# each scheme on (vals, de_params), its function looked up by name at call time
+_SCHEME_TABLE = {
+    "uw_pc": lambda vals, de: uw_pc(*vals.shape),
+    "uw_pcc": lambda vals, de: uw_pcc(*vals.shape),
+    "wa_pc": lambda vals, de: wa_pc(vals),
+    "wa_pcc": lambda vals, de: wa_pcc(vals),
+    "de": lambda vals, de: de_weights(vals, de),
+    "bma": lambda vals, de: bma_weights(vals),
+}
+SCHEMES = tuple(_SCHEME_TABLE)
 
 
 def compute_scheme(
     name: str, vals: np.ndarray, de_params: DeParams = DeParams()
 ) -> WeightMatrix:
     """Run one scheme on a plain accuracy array."""
-    n, m = vals.shape
-    if name == "uw_pc":
-        return uw_pc(n, m)
-    if name == "uw_pcc":
-        return uw_pcc(n, m)
-    if name == "wa_pc":
-        return wa_pc(vals)
-    if name == "wa_pcc":
-        return wa_pcc(vals)
-    if name == "de":
-        return de_weights(vals, de_params)
-    if name == "bma":
-        return bma_weights(vals)
-    raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEMES}")
+    if name not in _SCHEME_TABLE:
+        raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEMES}")
+    return _SCHEME_TABLE[name](vals, de_params)
 
 
 def baseline_with_selection(

@@ -127,19 +127,6 @@ def _de_params(args: argparse.Namespace) -> DeParams:
         differential_weight="de_f", crossover_rate="de_cr", rng_seed="de_seed"))
 
 
-def _constraint_payload(report) -> list[dict]:
-    return [
-        {
-            "constraint": check.constraint_id,
-            "name": check.name,
-            "satisfied": check.satisfied,
-            "worst_violation": check.worst_violation,
-            "location": check.location,
-        }
-        for check in report.checks
-    ]
-
-
 def cmd_optimize(args) -> int:
     v = io.read_accuracy_matrix(args.matrix)
     params = _hyperparams(args, args.k)
@@ -155,7 +142,11 @@ def cmd_optimize(args) -> int:
             v.classifiers.names[i] for i in solution.selection.indices
         ],
         "objective": dataclasses.asdict(solution.objective),
-        "constraints": _constraint_payload(report),
+        "constraints": [
+            {"constraint" if key == "constraint_id" else key: value
+             for key, value in dataclasses.asdict(check).items()}
+            for check in report.checks
+        ],
         "diagnostics": dataclasses.asdict(solution.stats),
         "subset_rank": [
             {
@@ -213,7 +204,7 @@ def cmd_resample(args) -> int:
     _fill(args, seed=0)
     labels = io.read_labels(args.labels)
     dist = distribution_from_labels(labels)
-    if args.target_rho is not None and args.step_r is not None:
+    if args.target_rho is not None and (args.step_r, args.step_rho) != (None, None):
         raise ValueError("choose either --target-rho or --step-r/--step-rho")
     if args.target_rho is not None:
         plan = ratio_targets(dist, args.target_rho, seed=args.seed)
@@ -303,7 +294,7 @@ def cmd_sweep(args) -> int:
         for metric in METRIC_FIELDS:
             for scheme in SCHEMES:
                 cells = ",".join(
-                    format(table[(metric, scheme)][k], ".17g") for k in ks
+                    "%.17g" % table[(metric, scheme)][k] for k in ks
                 )
                 fh.write(f"{metric},{scheme},{cells}\n")
     print(f"improvement table written to {args.out_table}")

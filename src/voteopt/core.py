@@ -64,39 +64,33 @@ def _check_unique(names: Sequence[str], what: str) -> None:
 
 
 @dataclass(frozen=True)
-class ClassifierSet:
-    """Ordered classifier identifiers; the canonical row order for matrices."""
+class _NameSet:
+    """Ordered, unique names; a subclass gives the ``noun`` its errors use."""
 
     names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        _check_unique(self.names, "classifier")
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
+        _check_unique(self.names, self.noun)
 
     def index(self, name: str) -> int:
         return self.names.index(name)
 
 
 @dataclass(frozen=True)
-class ClassSet:
+class ClassifierSet(_NameSet):
+    """Ordered classifier identifiers; the canonical row order for matrices."""
+
+    noun = "classifier"
+    n = property(lambda self: len(self.names))
+
+
+@dataclass(frozen=True)
+class ClassSet(_NameSet):
     """Ordered class identifiers; the canonical column order for matrices."""
 
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        _check_unique(self.names, "class")
-
-    @property
-    def m(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
+    noun = "class"
+    m = property(lambda self: len(self.names))
 
 
 @dataclass(frozen=True)

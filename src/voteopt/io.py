@@ -29,8 +29,11 @@ from .core import (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _check_names(names, read=str.strip) -> None:
+    """Raise, before a writer opens its file, for a name its reader, ``read``, alters."""
+    for name in names:
+        if read(name) != name:
+            raise ValueError(f"name {name!r} would be read back as {read(name)!r}")
 
 
 def _records(fh, path, width=None, first_line=2):
@@ -109,11 +112,12 @@ def _read_matrix(path, marked: bool):
 def _write_matrix(path, columns, names, values, markers=()) -> None:
     """A `classifier,<columns...>` header, then per name its values with 17
     significant digits and, where ``markers`` holds one, its marker."""
+    _check_names(chain(names, columns))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["classifier", *columns])
         for i, name in enumerate(names):
-            writer.writerow([name, *map(_fmt, values[i]), *markers[i:i + 1]])
+            writer.writerow([name, *("%.17g" % x for x in values[i]), *markers[i:i + 1]])
 
 
 def read_accuracy_matrix(path) -> AccuracyMatrix:
@@ -139,6 +143,8 @@ def write_weight_matrix(
     """Weight rows in accuracy-matrix layout plus a `selected` marker column."""
     if weights.w.shape != (classifiers.n, classes.m):
         raise ValueError("weight shape does not match the classifier/class sets")
+    if selection.x.size != classifiers.n:
+        raise ValueError(f"selection of {selection.x.size} for {classifiers.n} classifiers")
     _write_matrix(path, [*classes.names, "selected"], classifiers.names, weights.w,
                   ["true" if x else "false" for x in selection.x])
 
@@ -439,6 +445,9 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
 
 
 def write_predictions(path, preds: PredictionSet) -> None:
+    _check_names(chain(preds.classes.names, preds.instance_ids))
+    # a score column is `<classifier>:<class>`, split at its first ':'
+    _check_names(preds.classifiers.names, lambda name: name.partition(":")[0].strip())
     cells = preds.classifiers.n * preds.classes.m
     flat = preds.scores.reshape(len(preds), cells)
     row_format = ",".join(["%.17g"] * cells)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import PredictionSet, WeightMatrix
+from .core import PredictionSet, WeightMatrix, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,11 @@ class ConfusionMatrix:
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
+        counts = _frozen_array(self.counts, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"confusion matrix must be square, got {counts.shape}")
         if counts.min() < 0:
             raise ValueError("confusion matrix entries must be non-negative")
-        counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         names = tuple(self.class_names) or tuple(
             str(i) for i in range(counts.shape[0])
@@ -68,23 +67,6 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def _require_populated(cm: ConfusionMatrix) -> np.ndarray:
-    row_sums = cm.counts.sum(axis=1)
-    if np.any(row_sums == 0):
-        empty = cm.class_names[int(np.argmin(row_sums))]
-        raise ValueError(
-            f"recall undefined: true class {empty!r} has no instances"
-        )
-    return row_sums
-
-
-def balanced_accuracy(cm: ConfusionMatrix) -> float:
-    """Unweighted mean of per-class recall."""
-    row_sums = _require_populated(cm)
-    recalls = np.diag(cm.counts) / row_sums
-    return float(recalls.mean())
-
-
 @dataclass(frozen=True)
 class PrfBreakdown:
     precision: np.ndarray
@@ -99,7 +81,10 @@ def per_class_prf(cm: ConfusionMatrix) -> PrfBreakdown:
     A class that is never predicted has undefined precision; it is scored 0
     and reported in ``zero_precision_classes``.
     """
-    row_sums = _require_populated(cm)
+    row_sums = cm.counts.sum(axis=1)
+    if np.any(row_sums == 0):
+        empty = cm.class_names[int(np.argmin(row_sums))]
+        raise ValueError(f"recall undefined: true class {empty!r} has no instances")
     col_sums = cm.counts.sum(axis=0)
     diag = np.diag(cm.counts).astype(np.float64)
     recall = diag / row_sums
@@ -113,6 +98,11 @@ def per_class_prf(cm: ConfusionMatrix) -> PrfBreakdown:
     )
     flagged = tuple(cm.class_names[j] for j in np.flatnonzero(empty_pred))
     return PrfBreakdown(precision, recall, f1, flagged)
+
+
+def balanced_accuracy(cm: ConfusionMatrix) -> float:
+    """Unweighted mean of per-class recall."""
+    return float(per_class_prf(cm).recall.mean())
 
 
 def macro_prf(cm: ConfusionMatrix) -> tuple[float, float, float]:

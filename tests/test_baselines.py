@@ -159,6 +159,12 @@ class TestMassAndSymmetry:
             permuted = compute_scheme(name, vals).w[perm]
             assert direct.w == pytest.approx(permuted, abs=1e-12)
 
+    def test_unknown_scheme_names_the_schemes(self):
+        with pytest.raises(ValueError) as exc:
+            compute_scheme("nope", np.ones((2, 2)))
+        assert str(exc.value) == ("unknown scheme 'nope'; expected one of "
+                                  "('uw_pc', 'uw_pcc', 'wa_pc', 'wa_pcc', 'de', 'bma')")
+
     def test_de_permutation_equivariance_at_convergence(self):
         # DE's draws do not permute with the rows, so equivariance holds
         # only up to convergence tolerance; use a fixture it solves exactly

@@ -1,6 +1,7 @@
 import mmap
+import pickle
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import pytest
@@ -235,6 +236,25 @@ class TestValidation:
     def test_types_are_frozen(self, d2_matrix):
         with pytest.raises(ValueError):
             d2_matrix.values[0, 0] = 0.5
+
+    @pytest.mark.parametrize("kind, other, noun, size", [
+        (ClassifierSet, ClassSet, "classifier", "n"),
+        (ClassSet, ClassifierSet, "class", "m"),
+    ])
+    def test_name_sets(self, kind, other, noun, size):
+        names = kind(["a", "b"])
+        for attr in ("names", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(names, attr, ("c",))
+        assert names == kind(("a", "b")) and hash(names) == hash(kind(("a", "b")))
+        assert names != other(("a", "b"))
+        assert repr(names) == f"{kind.__name__}(names=('a', 'b'))"
+        assert pickle.loads(pickle.dumps(names)) == names
+        assert getattr(names, size) == 2 and names.index("b") == 1
+        with pytest.raises(ValueError, match=rf"^duplicate {noun} names: \['a', 'a'\]$"):
+            kind(("a", "a"))
+        with pytest.raises(ValueError, match=rf"^{noun} names must be non-empty$"):
+            kind(())
 
     def test_prediction_set_copies_caller_arrays(self):
         truth = np.array([0, 1, 1])

@@ -11,8 +11,9 @@ import pytest
 from voteopt import core, io
 from voteopt.cli import build_parser, main
 from voteopt.core import (
-    ClassifierSet, ClassSet, PredictionSet, SelectionVector, WeightMatrix,
+    ClassifierSet, ClassSet, HyperParams, PredictionSet, SelectionVector, WeightMatrix,
 )
+from voteopt.optimizer import validate_constraints
 
 DATA = Path(__file__).parent / "data"
 D2_CSV = str(DATA / "d2_accuracy.csv")
@@ -110,6 +111,48 @@ class TestMatrixIo:
             io.read_weight_matrix(p)
         assert str(exc.value) == f"{p}:{where} is {value}, not a finite number >= 0"
 
+    @pytest.mark.parametrize("name", [" a", "a ", "\ta\n"])
+    @pytest.mark.parametrize("where", ["classifier", "class"])
+    @pytest.mark.parametrize("writer", ["accuracy", "weight"])
+    def test_writers_reject_names_their_reader_strips(self, tmp_path, writer, where, name):
+        names = {"classifier": ["c0", "c1"], "class": ["x", "y"]}
+        names[where][1] = name
+        v = core.AccuracyMatrix(np.full((2, 2), 0.5), ClassifierSet(names["classifier"]),
+                                ClassSet(names["class"]))
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError) as exc:
+            if writer == "accuracy":
+                io.write_accuracy_matrix(path, v)
+            else:
+                io.write_weight_matrix(path, WeightMatrix(v.values), SelectionVector([1, 0]),
+                                       v.classifiers, v.classes)
+        assert str(exc.value) == f"name {name!r} would be read back as {name.strip()!r}"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("count", [0, 7, 9])
+    def test_weight_writer_checks_the_selection_length(self, tmp_path, d2_matrix, count):
+        path = tmp_path / "w.csv"
+        with pytest.raises(ValueError) as exc:
+            io.write_weight_matrix(path, WeightMatrix(d2_matrix.values),
+                                   SelectionVector(np.ones(count, np.int64)),
+                                   d2_matrix.classifiers, d2_matrix.classes)
+        assert str(exc.value) == f"selection of {count} for 8 classifiers"
+        assert not path.exists()
+
+    def test_matrix_names_round_trip(self, tmp_path):
+        clfs = ClassifierSet(("in ner", "a,b", 'say "hi"', "two\nlines", "c:0"))
+        classes = ClassSet(("x y", "k:1", 'q"', "line\nbreak"))
+        v = core.AccuracyMatrix(np.full((5, 4), 0.25), clfs, classes)
+        path = tmp_path / "m.csv"
+        io.write_accuracy_matrix(path, v)
+        again = io.read_accuracy_matrix(path)
+        assert (again.classifiers, again.classes) == (clfs, classes)
+        sel = SelectionVector([1, 0, 1, 0, 1])
+        io.write_weight_matrix(path, WeightMatrix(v.values), sel, clfs, classes)
+        w, sel2, clfs2, classes2 = io.read_weight_matrix(path)
+        assert (clfs2, classes2) == (clfs, classes)
+        assert np.array_equal(sel2.x, sel.x) and np.array_equal(w.w, v.values)
+
     def test_weight_marker_validated(self, tmp_path):
         p = tmp_path / "w.csv"
         p.write_text("classifier,a,selected\nclf,0.5,maybe\n")
@@ -192,7 +235,7 @@ class TestPredictionsIo:
     def test_writer_matches_per_cell_reference(self, tmp_path):
         # one "%.17g" per cell through csv.writer, quoting every cell as needed
         rng = np.random.default_rng(9)
-        ids = ("plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " pad ")
+        ids = ("plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", "in ner")
         names = ("x,y", 'q"', "line\nbreak", "z")
         scores = np.concatenate([
             np.floor(rng.random((4, 2, 4)) * 2**16) / 2**16,
@@ -200,18 +243,48 @@ class TestPredictionsIo:
             rng.random((2, 2, 4)),
         ])
         preds = PredictionSet(ids, np.array([0, 1, 2, 3, 0, 2, 1]), scores,
-                              ClassifierSet(("c:0", "c1")), ClassSet(names))
+                              ClassifierSet(("c 0", "c1")), ClassSet(names))
         want = tmp_path / "want.csv"
         with open(want, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["instance_id", "true_class",
-                             *(f"{c}:{k}" for c in ("c:0", "c1") for k in names)])
+                             *(f"{c}:{k}" for c in ("c 0", "c1") for k in names)])
             for t, iid in enumerate(ids):
                 writer.writerow([iid, names[preds.true_classes[t]],
                                  *(format(float(x), ".17g") for x in scores[t].ravel())])
         got = tmp_path / "got.csv"
         io.write_predictions(got, preds)
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("where, name, back", [
+        ("classifiers", "a:b", "a"), ("classifiers", "k1 ", "k1"),
+        ("ids", " i1", "i1"), ("ids", "i1 ", "i1"), ("classes", "\ty", "y"),
+    ])
+    def test_writer_rejects_names_its_reader_changes(self, tmp_path, where, name, back):
+        names = {"ids": ["i0", "i1"], "classifiers": ["c0", "c1"], "classes": ["x", "y"]}
+        names[where][1] = name
+        preds = PredictionSet(names["ids"], np.array([0, 1]), np.full((2, 2, 2), 0.5),
+                              ClassifierSet(names["classifiers"]), ClassSet(names["classes"]))
+        path = tmp_path / "p.csv"
+        with pytest.raises(ValueError) as exc:
+            io.write_predictions(path, preds)
+        assert str(exc.value) == f"name {name!r} would be read back as {back!r}"
+        assert not path.exists()
+
+    def test_names_round_trip(self, tmp_path):
+        ids = ("in ner", "a,b", 'say "hi"', "two\nlines")
+        clfs = ClassifierSet(("c 0", "c,1", 'c"2'))
+        classes = ClassSet(("x:y", "k:1:2", "line\nbreak", 'q"'))
+        preds = PredictionSet(ids, np.array([0, 1, 2, 3]),
+                              np.random.default_rng(4).random((4, 3, 4)), clfs, classes)
+        path = tmp_path / "p.csv"
+        io.write_predictions(path, preds)
+        for sets in ({}, dict(classifiers=clfs, classes=classes)):
+            again = io.read_predictions(path, **sets)
+            assert again.instance_ids == ids
+            assert (again.classifiers, again.classes) == (clfs, classes)
+            assert again.scores.tobytes() == preds.scores.tobytes()
+            assert again.true_classes.tolist() == [0, 1, 2, 3]
 
     def read_error(self, tmp_path, text, **sets):
         p = tmp_path / "bad.csv"
@@ -501,6 +574,13 @@ class TestCliOptimizeValidate:
         ]
         assert all(c["satisfied"] for c in doc["constraints"])
         w, sel, clf, cls = io.read_weight_matrix(weights)
+        v = io.read_accuracy_matrix(D2_CSV)
+        checks = validate_constraints(v, w, sel, HyperParams(k=8, lam=0.96, alpha=0.80))
+        assert doc["constraints"] == [
+            {"constraint": c.constraint_id, "name": c.name, "satisfied": c.satisfied,
+             "worst_violation": c.worst_violation, "location": c.location}
+            for c in checks.checks
+        ]
         svm = w.w[clf.index("SVM")]
         assert set(np.argsort(-svm)[:2]) == {2, 4}
         code = main([
@@ -949,15 +1029,20 @@ class TestCliResample:
         assert counts[0] * 20 == pytest.approx(counts[-1], rel=0.05)
         assert counts[1] == counts[2]
 
-    def test_both_modes_rejected(self, tmp_path):
+    @pytest.mark.parametrize("step", [
+        ["--step-r", "1", "--step-rho", "5"], ["--step-r", "1"], ["--step-rho", "3"],
+    ], ids=["both-steps", "step-r", "step-rho"])
+    def test_both_modes_rejected(self, tmp_path, capsys, step):
         labels = self.write_labels(tmp_path)
         code = main([
-            "resample", "--labels", str(labels), "--target-rho", "5",
-            "--step-r", "1", "--step-rho", "5",
+            "resample", "--labels", str(labels), "--target-rho", "5", *step,
             "--out-indices", str(tmp_path / "i.txt"),
             "--out-distribution", str(tmp_path / "d.json"),
         ])
         assert code == 2
+        assert "error: choose either --target-rho or --step-r/--step-rho" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "i.txt").exists()
 
     @pytest.mark.parametrize("mode, message", [
         (["--step-r", "1"], "--step-r requires --step-rho"),
