@@ -72,7 +72,7 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     ``--de-gens 2.7`` is, and so is a method the flag does not offer."""
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
@@ -289,7 +289,7 @@ def cmd_sweep(args) -> int:
                 ours = getattr(mip_report, metric)
                 other = getattr(base_report, metric)
                 table[(metric, scheme)][k] = improvement_pct(ours, other)
-    with open(args.out_table, "w", newline="") as fh:
+    with open(args.out_table, "w", newline="", encoding="utf-8") as fh:
         fh.write("metric,scheme," + ",".join(f"K={k}" for k in ks) + "\n")
         for metric in METRIC_FIELDS:
             for scheme in SCHEMES:

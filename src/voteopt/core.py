@@ -136,8 +136,8 @@ class HyperParams:
     """Knobs of the weighting model.
 
     ``epsilon`` must stay well below the unit-scaled accuracies and weights.
-    There is no big-M knob: M changes no result, and ``validate_constraints``
-    checks (7) at the constant ``optimizer.BIG_M``.
+    There is no big-M knob: (7) holds for an unselected classifier at any
+    M >= eps, so ``validate_constraints`` checks it on the selected ones.
     """
 
     k: int

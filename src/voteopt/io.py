@@ -76,7 +76,7 @@ def _read_matrix(path, marked: bool):
     it is parsed, an accuracy against [0, 1] and a weight for being finite
     and non-negative, so the first bad cell in file order is named.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(_records(fh, path))
     header = rows[0]
     if marked and (len(header) < 3 or header[-1].strip() != "selected"):
@@ -113,7 +113,7 @@ def _write_matrix(path, columns, names, values, markers=()) -> None:
     """A `classifier,<columns...>` header, then per name its values with 17
     significant digits and, where ``markers`` holds one, its marker."""
     _check_names(chain(names, columns))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["classifier", *columns])
         for i, name in enumerate(names):
@@ -420,7 +420,7 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
     the last record come the header and set checks, "no instances", then
     the first bad cell.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         records = _records(fh, path)
         header = [h.strip() for h in next(records)]
         try:
@@ -445,13 +445,15 @@ def read_predictions(path, classifiers=None, classes=None) -> PredictionSet:
 
 
 def write_predictions(path, preds: PredictionSet) -> None:
+    if not len(preds):
+        raise ValueError("no instances: read_predictions rejects a header-only file")
     _check_names(chain(preds.classes.names, preds.instance_ids))
     # a score column is `<classifier>:<class>`, split at its first ':'
     _check_names(preds.classifiers.names, lambda name: name.partition(":")[0].strip())
     cells = preds.classifiers.n * preds.classes.m
     flat = preds.scores.reshape(len(preds), cells)
     row_format = ",".join(["%.17g"] * cells)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "instance_id", "true_class",
@@ -474,7 +476,7 @@ def write_predictions(path, preds: PredictionSet) -> None:
 
 def read_labels(path) -> np.ndarray:
     """One class label per line; a leading 'class' header line is skipped."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty label file")
@@ -490,8 +492,9 @@ def write_report(path, payload: dict, timestamp: bool = True) -> None:
     doc = dict(payload)
     if timestamp:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def write_indices(path, indices) -> None:
-    Path(path).write_text("".join(f"{int(i)}\n" for i in indices))
+    Path(path).write_text("".join(f"{int(i)}\n" for i in indices), encoding="utf-8")

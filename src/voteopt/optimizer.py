@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,10 +54,6 @@ FRONTIER = CHUNK // 2
 ENUMERATE_MAX = 500
 # nodes branch-and-bound expands before it gives up with SolverIncomplete
 MAX_NODES = 100_000
-# M of the literal (7) check in validate_constraints; no solver uses it. With
-# binary x and w >= 0 an unselected row's gap eps - rowsum - M is <= 0 for
-# any M >= 1e-3 >= eps, so M changes neither the verdict nor the violation.
-BIG_M = 1e6
 
 
 class AllSubsetsInfeasible(RuntimeError):
@@ -109,10 +105,6 @@ class SolveStats:
     nodes: int = 0
     pruned: int = 0
     bound_calls: int = 0
-
-    def __add__(self, other: "SolveStats") -> "SolveStats":
-        return SolveStats(**{f.name: getattr(self, f.name) + getattr(other, f.name)
-                             for f in fields(SolveStats)})
 
 
 @dataclass(frozen=True)
@@ -167,54 +159,40 @@ def enumerate_subsets(n: int, k: int):
     return itertools.combinations(range(n), k)
 
 
-def _solve_subsets(v, params, subsets: np.ndarray):
-    """Optimal objective and (K, m) weights of every row of ``subsets``.
-
-    Returns objectives (nan where infeasible), weights and the SolveStats of
-    this batch; raises SolverIncomplete for a subset the batched solver
-    leaves unresolved.
-    """
-    batch = subsetsolve.solve_batch(v.values, subsets, params.lam, params.alpha,
-                                    params.epsilon)
-    unresolved = np.flatnonzero(batch.status == subsetsolve.UNRESOLVED)
-    if unresolved.size:
-        subset = tuple(int(i) for i in subsets[unresolved[0]])
-        raise SolverIncomplete(
-            f"subset {subset}: neither an optimum nor infeasibility could be "
-            "certified, so the optimum is not established",
-            subset=subset,
-        )
-    counts = np.bincount(batch.status, minlength=5)
-    stats = SolveStats(
-        enumerated=len(subsets),
-        screened=int(counts[subsetsolve.SCREENED]),
-        closed_form=int(counts[subsetsolve.CLOSED_FORM]),
-        active_set=int(counts[subsetsolve.ACTIVE_SET]),
-        infeasible=int(counts[subsetsolve.INFEASIBLE]),
-    )
-    return batch.objective, batch.weights, stats
-
-
 class _Leaves:
     """Every subset one search solves, ranked once when the search ends.
 
-    Both searches feed ``add`` (B, K) batches of sorted subsets. It keeps
-    their objectives, and weights only within TIE_TOL of the running best.
+    It works out the pool's class floors (8) ``f`` once. Both searches feed
+    ``add`` (B, K) batches of sorted subsets. It keeps their objectives and
+    outcome counts, and weights only within TIE_TOL of the running best.
     """
 
     def __init__(self, v, params):
         self.v, self.params = v, params
+        self.f = v.values.mean(axis=0) + params.epsilon
         # empty first entries, so that a search that solves nothing ranks nothing
         self.subsets = [np.empty((0, params.k), dtype=np.intp)]
         self.objectives = [np.empty(0)]
         self.near = []  # (objective, subset, weights)
         self.best = -math.inf
-        self.stats = SolveStats()
+        self.counts = np.zeros(5, dtype=np.int64)  # per subsetsolve outcome code
 
     def add(self, subsets: np.ndarray) -> float:
-        """Solve ``subsets``; return the best objective so far, -inf if none."""
-        objective, weights, stats = _solve_subsets(self.v, self.params, subsets)
-        self.stats += stats
+        """Solve ``subsets``; return the best objective so far, -inf if none.
+        A subset the batched solver leaves unresolved raises SolverIncomplete."""
+        p = self.params
+        batch = subsetsolve.solve_batch(self.v.values[subsets], self.f, p.lam, p.alpha,
+                                        p.epsilon)
+        unresolved = np.flatnonzero(batch.status == subsetsolve.UNRESOLVED)
+        if unresolved.size:
+            subset = tuple(int(i) for i in subsets[unresolved[0]])
+            raise SolverIncomplete(
+                f"subset {subset}: neither an optimum nor infeasibility could be "
+                "certified, so the optimum is not established",
+                subset=subset,
+            )
+        self.counts += np.bincount(batch.status, minlength=5)
+        objective, weights = batch.objective, batch.weights
         self.subsets.append(subsets)
         self.objectives.append(objective)
         top = np.fmax.reduce(objective)  # nan when the whole batch is infeasible
@@ -252,12 +230,14 @@ class _Leaves:
         w[rows] = w_sub
         terms = objective_terms(self.v.values[rows], w_sub, self.params.lam,
                                 self.params.alpha)
+        counts = self.counts[[subsetsolve.SCREENED, subsetsolve.CLOSED_FORM,
+                              subsetsolve.ACTIVE_SET, subsetsolve.INFEASIBLE]]
         return MipSolution(
             selection=SelectionVector.from_indices(subset, self.v.n),
             weights=WeightMatrix(w),
             objective=ObjectiveBreakdown(*map(float, terms)),
             subset_rank=rank,
-            stats=replace(self.stats, **search),
+            stats=SolveStats(len(order), *counts.tolist(), **search),
         )
 
 
@@ -322,7 +302,7 @@ def _solve_bnb(v, params) -> MipSolution:
     """
     vals = v.values
     n, k = v.n, params.k
-    f = vals.mean(axis=0) + params.epsilon
+    leaves = _Leaves(v, params)
     order = np.argsort(-vals.sum(axis=1), kind="stable")
     # the rows of vals, then from row n (d + 1) each class column of the
     # undecided rows order[d:], descending, padded to n rows by -inf
@@ -335,7 +315,6 @@ def _solve_bnb(v, params) -> MipSolution:
     # open nodes (-bound, tie-break, included rows in decision order and
     # padded to k, count included, depth): a stack while diving, then a heap
     frontier = [(-math.inf, next(counter), pos, 0, 0)]
-    leaves = _Leaves(v, params)
     incumbent = -math.inf
     nodes, pruned, bound_calls, step = 0, 0, 0, 1
 
@@ -372,7 +351,7 @@ def _solve_bnb(v, params) -> MipSolution:
         taken, rest = pos < count[:, None], pos - count[:, None]
         bounds = subsetsolve.relaxed_objective(
             src[np.where(taken, inc, n * depth[:, None] + n + rest)],
-            f, params.lam, params.alpha)
+            leaves.f, params.lam, params.alpha)
         bound_calls += 1
         leaf = []
         push = frontier.append if diving else lambda node: heapq.heappush(frontier, node)
@@ -424,7 +403,8 @@ def validate_constraints(
     row_sums = w.sum(axis=1)
     # (id, name, gap that is positive where an entry misses the constraint,
     # place, names along the gap's axes); the gap of (3) is clipped at 0 so
-    # that, with no negative weight, the place is the first cell
+    # that, with no negative weight, the place is the first cell; an
+    # unselected row meets (7) at any M >= eps, so its gap is -inf
     table = (
         (2, "binary-selection", np.minimum(np.abs(x), np.abs(x - 1.0)),
          "classifier {}", (clf,)),
@@ -432,7 +412,7 @@ def validate_constraints(
         (4, "ensemble-size", abs(float(x.sum()) - params.k), "global", ()),
         (5, "class-weight-sum", np.abs(w.sum(axis=0) - 1.0), "class {}", (cls,)),
         (6, "unselected-zero-weights", row_sums - m * x, "classifier {}", (clf,)),
-        (7, "selected-weight-floor", params.epsilon - (row_sums + BIG_M * (1.0 - x)),
+        (7, "selected-weight-floor", np.where(x == 1.0, params.epsilon - row_sums, -np.inf),
          "classifier {}", (clf,)),
         (8, "per-class-accuracy",
          vals.mean(axis=0) + params.epsilon - (w * vals).sum(axis=0), "class {}", (cls,)),

@@ -4,7 +4,7 @@ With the selection fixed to a subset of K classifiers, the weight model of
 :mod:`voteopt.optimizer` separates by class except for the per-classifier
 weight floors (7). The L1 term equals m on the feasible set, so with
 ``q = lam*(1-alpha)/2`` and ``f_j = mean_i(v_ij) + eps`` (mean over the full
-pool) class j maximizes
+pool, which the caller computes) class j maximizes
 
     v_j.w_j / m - q * ||w_j||^2   over the unit simplex (3), (5),
     subject to v_j.w_j >= f_j     (8)
@@ -100,16 +100,14 @@ def relaxed_objective(sub, f, lam, alpha):
     return out
 
 
-def solve_batch(vals, subsets, lam, alpha, eps) -> SubsetBatch:
-    """Solve and certify the weight problem of every row of ``subsets``.
+def solve_batch(sub, f, lam, alpha, eps) -> SubsetBatch:
+    """Solve and certify the weight problem of every subset in ``sub``.
 
-    ``vals`` is the full (n, m) accuracy matrix, ``subsets`` a (B, K) integer
-    array of classifier indices. Where (7) binds, memory grows with
-    B * (K*m + 2*m + K)**2, so callers pass bounded batches.
+    ``sub`` holds the (B, K, m) accuracies of B subsets of K classifiers and
+    ``f`` the pool's (m,) class floors (8). Where (7) binds, memory grows
+    with B * (K*m + 2*m + K)**2, so callers pass bounded batches.
     """
-    sub = vals[subsets]
     batch, k, m = sub.shape
-    f = vals.mean(axis=0) + eps
     q = lam * (1.0 - alpha) / 2.0
     status = np.full(batch, UNRESOLVED, dtype=np.int8)
     weights = np.zeros_like(sub)

@@ -271,6 +271,14 @@ class TestPredictionsIo:
         assert str(exc.value) == f"name {name!r} would be read back as {back!r}"
         assert not path.exists()
 
+    def test_writer_rejects_zero_instances(self, tmp_path):
+        preds = PredictionSet((), np.zeros(0, dtype=int), np.zeros((0, 2, 2)),
+                              ClassifierSet(("c0", "c1")), ClassSet(("x", "y")))
+        path = tmp_path / "p.csv"
+        with pytest.raises(ValueError, match="^no instances"):
+            io.write_predictions(path, preds)
+        assert not path.exists()
+
     def test_names_round_trip(self, tmp_path):
         ids = ("in ner", "a,b", 'say "hi"', "two\nlines")
         clfs = ClassifierSet(("c 0", "c,1", 'c"2'))

@@ -18,7 +18,7 @@ from voteopt import (
     tune_hyperparams,
     validate_constraints,
 )
-from voteopt.optimizer import TIE_TOL
+from voteopt.optimizer import TIE_TOL, ConstraintCheck
 from voteopt.qpsolve import QpStatus
 
 from conftest import SVM_ROW, random_accuracy_matrix
@@ -326,6 +326,24 @@ class TestValidateConstraints:
         check = report.check(7)
         assert not check.satisfied
         assert check.worst_violation == pytest.approx(1e-3, abs=1e-12)
+
+    def test_floor_located_on_selected_rows_only(self, d2_matrix):
+        # (7) binds selected classifiers only: with none selected it is met
+        # and names the first classifier, and a selected row summing above
+        # any big-M constant is still the one it names
+        params = HyperParams(k=1, epsilon=1e-3)
+        w = np.zeros((8, 5))
+        w[0] = 0.2
+        report = validate_constraints(d2_matrix, WeightMatrix(w),
+                                      SelectionVector(np.zeros(8, dtype=np.int64)), params)
+        assert report.check(7) == ConstraintCheck(7, "selected-weight-floor", True, 0.0,
+                                                  "classifier MLR")
+        w = np.zeros((8, 5))
+        w[2] = 1e6
+        report = validate_constraints(d2_matrix, WeightMatrix(w),
+                                      SelectionVector.from_indices([2], 8), params)
+        assert report.check(7) == ConstraintCheck(7, "selected-weight-floor", True, 0.0,
+                                                  f"classifier {d2_matrix.classifiers.names[2]}")
 
     def test_every_family_on_a_handmade_solution(self, d2_matrix):
         # J48, JRIP and REPTree selected at K = 4; MLR's row is exact zeros,

@@ -42,8 +42,8 @@ FLOOR_POOL = np.array([[1.0], [0.0]])
 
 def solve_all(vals, params):
     """solve_batch on the first ``params.k`` rows of ``vals``."""
-    subsets = np.arange(len(vals))[None, :params.k]
-    return subsetsolve.solve_batch(vals, subsets, params.lam, params.alpha, params.epsilon)
+    return subsetsolve.solve_batch(vals[None, :params.k], vals.mean(axis=0) + params.epsilon,
+                                   params.lam, params.alpha, params.epsilon)
 
 
 class TestSolveQp:
@@ -73,9 +73,9 @@ class TestSolveQp:
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(4)
         v = random_accuracy_matrix(rng, n=4, m=3)
-        subsets = np.array([[0, 1, 3]])
-        first = subsetsolve.solve_batch(v.values, subsets, 0.7, 0.6, EPS)
-        second = subsetsolve.solve_batch(v.values, subsets, 0.7, 0.6, EPS)
+        sub, f = v.values[np.array([[0, 1, 3]])], v.values.mean(axis=0) + EPS
+        first = subsetsolve.solve_batch(sub, f, 0.7, 0.6, EPS)
+        second = subsetsolve.solve_batch(sub, f, 0.7, 0.6, EPS)
         assert first.objective[0] == second.objective[0]
         assert np.array_equal(first.weights, second.weights)
 
@@ -96,7 +96,8 @@ class TestSolveQp:
             subset = (0, 1, 2, 3)
             masses = []
             for coeff in (0.01, 0.05, 0.2, 0.8):
-                batch = subsetsolve.solve_batch(v.values, np.array([subset]),
+                batch = subsetsolve.solve_batch(v.values[None, list(subset)],
+                                                v.values.mean(axis=0) + EPS,
                                                 coeff / 0.5, 0.5, EPS)
                 assert not np.isnan(batch.objective[0])
                 masses.append(float((batch.weights[0] ** 2).sum()))

@@ -126,11 +126,10 @@ def all_subsets(n, k):
 
 
 def check_against_reference(vals, k, lam, alpha):
-    v = _matrix(vals)
-    params = HyperParams(k=k, lam=lam, alpha=alpha)
     subsets = all_subsets(vals.shape[0], k)
-    objective, weights, _ = optimizer._solve_subsets(v, params, subsets)
-    for subset, obj, w in zip(subsets, objective, weights):
+    batch = subsetsolve.solve_batch(vals[subsets], vals.mean(axis=0) + EPS, lam, alpha, EPS)
+    assert not np.any(batch.status == subsetsolve.UNRESOLVED)
+    for subset, obj, w in zip(subsets, batch.objective, batch.weights):
         ref = reference_optimum(vals, subset, lam, alpha)
         if ref is None:
             assert np.isnan(obj), f"subset {subset}: solved an infeasible subset"
@@ -189,8 +188,8 @@ class TestExactness:
         # one class whose unconstrained projection misses the floor (8):
         # the root a* lifts it exactly onto the floor
         vals = np.array([[0.9], [0.6], [0.88], [0.88]])
-        subsets = np.array([[0, 1]])
-        batch = subsetsolve.solve_batch(vals, subsets, 10.0, 0.0, EPS)
+        batch = subsetsolve.solve_batch(vals[None, [0, 1]], vals.mean(axis=0) + EPS,
+                                        10.0, 0.0, EPS)
         assert batch.status[0] == subsetsolve.CLOSED_FORM
         w = batch.weights[0]
         assert (vals[[0, 1]] * w).sum() == pytest.approx(vals.mean() + EPS, abs=1e-15)
@@ -200,10 +199,10 @@ class TestCertificate:
     def test_perturbed_answer_rejected(self):
         subsets = all_subsets(8, 4)
         lam, alpha = 0.95, 0.85
-        batch = subsetsolve.solve_batch(D2_VALUES, subsets, lam, alpha, EPS)
+        f = D2_VALUES.mean(axis=0) + EPS
+        batch = subsetsolve.solve_batch(D2_VALUES[subsets], f, lam, alpha, EPS)
         b = int(np.flatnonzero(batch.status == subsetsolve.CLOSED_FORM)[0])
         sub = D2_VALUES[subsets[b]][None]
-        f = D2_VALUES.mean(axis=0) + EPS
         q = lam * (1 - alpha) / 2
         w, nu, mu = subsetsolve._projection(sub, f, q)
         gamma = np.zeros((1, 4))
@@ -218,8 +217,8 @@ class TestCertificate:
 
 
 def _everything_unresolved(real):
-    def solve_batch(vals, subsets, lam, alpha, eps):
-        out = real(vals, subsets, lam, alpha, eps)
+    def solve_batch(sub, f, lam, alpha, eps):
+        out = real(sub, f, lam, alpha, eps)
         status = np.where(out.status == subsetsolve.SCREENED, subsetsolve.SCREENED,
                           subsetsolve.UNRESOLVED).astype(np.int8)
         return subsetsolve.SubsetBatch(status, np.zeros_like(out.weights),
@@ -372,7 +371,8 @@ def assert_lp_infeasible(vals, subset, eps=EPS):
 
 class TestVertexStage:
     def test_4x2_pool_certified_at_its_optimum(self):
-        batch = subsetsolve.solve_batch(KNIFE_4X2, np.array([[0, 1, 2]]), 0.0, 0.85, EPS)
+        batch = subsetsolve.solve_batch(KNIFE_4X2[None, :3], KNIFE_4X2.mean(axis=0) + EPS,
+                                        0.0, 0.85, EPS)
         assert batch.status[0] == subsetsolve.ACTIVE_SET
         assert batch.objective[0] == pytest.approx(0.7004997992500052, abs=1e-12)
         assert_lp_optimal(KNIFE_4X2, (0, 1, 2), batch.weights[0])
@@ -382,16 +382,17 @@ class TestVertexStage:
 
     def test_4x1_pool_reported_infeasible(self):
         # infeasible by 2.1e-7, but no class floor exceeds every member
-        subset = np.array([[0, 1, 2]])
-        batch = subsetsolve.solve_batch(KNIFE_4X1, subset, 0.0, 0.85, EPS)
+        f = KNIFE_4X1.mean(axis=0) + EPS
+        batch = subsetsolve.solve_batch(KNIFE_4X1[None, :3], f, 0.0, 0.85, EPS)
         assert batch.status[0] == subsetsolve.INFEASIBLE
         assert np.isnan(batch.objective[0])
         assert_lp_infeasible(KNIFE_4X1, (0, 1, 2))
         assert reference_optimum(KNIFE_4X1, (0, 1, 2), 0.0, 0.85) is None
-        stats = optimizer._solve_subsets(_matrix(KNIFE_4X1), HyperParams(k=3, lam=0.0),
-                                         all_subsets(4, 3))[2]
-        assert stats.infeasible == 1
-        assert stats.screened + stats.closed_form + stats.infeasible == stats.enumerated
+        status = subsetsolve.solve_batch(KNIFE_4X1[all_subsets(4, 3)], f, 0.0, 0.85,
+                                         EPS).status
+        assert np.count_nonzero(status == subsetsolve.INFEASIBLE) == 1
+        assert np.all(np.isin(status, (subsetsolve.SCREENED, subsetsolve.CLOSED_FORM,
+                                       subsetsolve.INFEASIBLE)))
 
     def test_knife_edge_pools_end_certified_or_infeasible(self):
         rng = np.random.default_rng(0)
@@ -399,13 +400,15 @@ class TestVertexStage:
         for _ in range(3000):
             vals, k = knife_edge_pool(rng)
             subset = tuple(range(k))
-            objective, weights, stats = optimizer._solve_subsets(
-                _matrix(vals), HyperParams(k=k, lam=0.0), np.array([subset]))
-            if stats.active_set:
-                assert_lp_optimal(vals, subset, weights[0])
-            elif stats.infeasible:
+            batch = subsetsolve.solve_batch(vals[None, :k], vals.mean(axis=0) + EPS,
+                                            0.0, 0.85, EPS)
+            status = batch.status[0]
+            assert status != subsetsolve.UNRESOLVED
+            if status == subsetsolve.ACTIVE_SET:
+                assert_lp_optimal(vals, subset, batch.weights[0])
+            elif status == subsetsolve.INFEASIBLE:
                 assert_lp_infeasible(vals, subset)
-            reached += stats.active_set + stats.infeasible
+            reached += status in (subsetsolve.ACTIVE_SET, subsetsolve.INFEASIBLE)
         assert reached >= 1000
 
     @pytest.mark.parametrize("regime", REGIMES[1:])
@@ -416,15 +419,16 @@ class TestVertexStage:
         reached = 0
         for _ in range(100):
             vals, k = knife_edge_pool(rng)
-            subset = (tuple(range(k)),)
-            objective, weights, stats = optimizer._solve_subsets(
-                _matrix(vals), HyperParams(k=k, lam=regime[0], alpha=regime[1]),
-                np.array(subset))
-            if stats.active_set:
-                assert_feasible(vals, subset[0], weights[0])
-                ref = reference_optimum(vals, subset[0], *regime)
-                assert objective[0] >= ref - 1e-6
-            reached += stats.active_set + stats.infeasible
+            subset = tuple(range(k))
+            batch = subsetsolve.solve_batch(vals[None, :k], vals.mean(axis=0) + EPS,
+                                            *regime, EPS)
+            status = batch.status[0]
+            assert status != subsetsolve.UNRESOLVED
+            if status == subsetsolve.ACTIVE_SET:
+                assert_feasible(vals, subset, batch.weights[0])
+                ref = reference_optimum(vals, subset, *regime)
+                assert batch.objective[0] >= ref - 1e-6
+            reached += status in (subsetsolve.ACTIVE_SET, subsetsolve.INFEASIBLE)
         assert reached >= 25
 
 
@@ -542,7 +546,7 @@ class TestBranchAndBound:
         completions = np.array([sorted(included + list(c))
                                 for c in itertools.combinations(free, k - n_in)],
                                dtype=np.intp)
-        batch = subsetsolve.solve_batch(vals, completions, *regime, EPS)
+        batch = subsetsolve.solve_batch(vals[completions], f, *regime, EPS)
         certified = ((batch.status == subsetsolve.CLOSED_FORM)
                      | (batch.status == subsetsolve.ACTIVE_SET))
         if bound == -np.inf:
@@ -610,6 +614,9 @@ class TestBatchedSearch:
             assert len(solved) == len(bnb.subset_rank) == bnb.stats.enumerated, k
             assert list(map(_rank_bits, bnb.subset_rank)) == [
                 _rank_bits(r) for r in enum.subset_rank if r.subset in solved], k
+            for s in (enum.stats, bnb.stats):
+                assert (s.screened + s.closed_form + s.active_set + s.infeasible
+                        == s.enumerated), k
 
     def test_all_infeasible_pool_raises_alike(self):
         # with eps = 1e-3 each subset holding row 0 misses the floor (8) by
